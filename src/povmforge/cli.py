@@ -24,6 +24,7 @@ from .povm import (
 )
 from .serialize import load_json, matrix_to_json, povm_from_json
 from .su2 import (
+    FIURASEK_COPY_CAP,
     GroupElement,
     covariant_qubit_detector,
     covariant_target,
@@ -90,10 +91,44 @@ def main():
     """Programmable-detector experiments with reproducible outputs."""
 
 
+def _law_scan(command, size_name, sizes, family, n_targets, tol, seed, out,
+              **params):
+    """One CSV row per detector size checking its accuracy law; exit 1 on a miss.
+
+    `family(size)` returns (detector, matched program rule, target draw
+    from an Rng, ancilla dimension d, theoretical accuracy, d recomputed
+    from that accuracy by the family's dimension-cost identity). Targets
+    come from the child stream Rng(seed).child(size).
+    """
+    lines = _header(command, seed, tol, **params, targets=n_targets)
+    lines.append(f"{size_name},d,epsilon_measured,epsilon_theory,max_abs_err")
+    failed = False
+    for size in sizes:
+        det, rule, draw, d, theory, d_from_theory = family(size)
+        child = Rng(seed).child(size)
+        targets = [draw(child) for _ in range(n_targets)]
+        report = estimate_accuracy(det, targets, rule)
+        err = max(abs(r.delta - theory) for r in report.per_target)
+        if err > tol or abs(d - d_from_theory) > 1e-6:
+            failed = True
+        lines.append(
+            ",".join(_fmt(v) for v in (size, d, report.epsilon, theory, err))
+        )
+    _emit_text(lines, out)
+    if failed:
+        raise SystemExit(1)
+
+
+targets_option = click.option(
+    "--targets", "n_targets", type=click.IntRange(min=1), default=20,
+    show_default=True,
+)
+
+
 @main.command("fiurasek-scan")
-@click.option("--n-min", type=int, default=1, show_default=True)
+@click.option("--n-min", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--n-max", type=int, default=6, show_default=True)
-@click.option("--targets", "n_targets", type=int, default=20, show_default=True)
+@targets_option
 @click.option("--tol", type=float, default=1e-9, show_default=True)
 @seed_option
 @out_option
@@ -104,35 +139,27 @@ def cmd_fiurasek_scan(n_min, n_max, n_targets, tol, seed, out):
     programming. Each row checks measured accuracy on Haar-random sharp
     targets with matched program states, plus the d = 4^(1/eps)/2 identity.
     """
-    lines = _header(
-        "fiurasek-scan", seed, tol, n_min=n_min, n_max=n_max, targets=n_targets
-    )
-    lines.append("N,d,epsilon_measured,epsilon_theory,max_abs_err")
-    failed = False
-    for n in range(n_min, n_max + 1):
-        det = fiurasek_detector(n)
-        child = Rng(seed).child(n)
-        targets = [
-            observable_from_unitary(haar_unitary(2, child)) for _ in range(n_targets)
-        ]
-        report = estimate_accuracy(det, targets, matched_fiurasek_rule(n))
-        theory = 2.0 / (n + 1)
-        err = max(abs(r.delta - theory) for r in report.per_target)
-        d = 2 ** n
-        if err > tol or abs(d - 0.5 * 4.0 ** (1.0 / theory)) > 1e-6:
-            failed = True
-        lines.append(
-            ",".join(_fmt(v) for v in (n, d, report.epsilon, theory, err))
+    if n_max < n_min:
+        raise click.UsageError(f"empty range: --n-max {n_max} < --n-min {n_min}")
+    if n_max > FIURASEK_COPY_CAP:
+        raise click.UsageError(
+            f"--n-max {n_max} exceeds the copy cap {FIURASEK_COPY_CAP}"
         )
-    _emit_text(lines, out)
-    if failed:
-        raise SystemExit(1)
+
+    def family(n):
+        theory = 2.0 / (n + 1)
+        return (fiurasek_detector(n), matched_fiurasek_rule(n),
+                lambda rng: observable_from_unitary(haar_unitary(2, rng)),
+                2 ** n, theory, 0.5 * 4.0 ** (1.0 / theory))
+
+    _law_scan("fiurasek-scan", "N", range(n_min, n_max + 1), family, n_targets,
+              tol, seed, out, n_min=n_min, n_max=n_max)
 
 
 @main.command("covariant-scan")
-@click.option("--j-max", "twice_j_max", type=int, default=9, show_default=True,
-              help="Largest ancilla spin, as twice j.")
-@click.option("--targets", "n_targets", type=int, default=20, show_default=True)
+@click.option("--j-max", "twice_j_max", type=click.IntRange(min=1), default=9,
+              show_default=True, help="Largest ancilla spin, as twice j.")
+@targets_option
 @click.option("--tol", type=float, default=1e-9, show_default=True)
 @seed_option
 @out_option
@@ -142,37 +169,25 @@ def cmd_covariant_scan(twice_j_max, n_targets, tol, seed, out):
     Ancilla dimension d = 2j+1, accuracy 2/d: linear scaling. Rows check
     measured accuracy on rotated sharp targets and the d = 2/eps identity.
     """
-    lines = _header(
-        "covariant-scan", seed, tol, j_max=twice_j_max, targets=n_targets
-    )
-    lines.append("twice_j,d,epsilon_measured,epsilon_theory,max_abs_err")
-    failed = False
-    for twice_j in range(1, twice_j_max + 1):
-        det = covariant_qubit_detector(twice_j / 2)
-        child = Rng(seed).child(twice_j)
-        targets = [
-            covariant_target(GroupElement.random(child)) for _ in range(n_targets)
-        ]
-        report = estimate_accuracy(det, targets, matched_covariant_rule(twice_j / 2))
+
+    def family(twice_j):
         d = twice_j + 1
         theory = 2.0 / d
-        err = max(abs(r.delta - theory) for r in report.per_target)
-        if err > tol or abs(d - 2.0 / theory) > 1e-6:
-            failed = True
-        lines.append(
-            ",".join(_fmt(v) for v in (twice_j, d, report.epsilon, theory, err))
-        )
-    _emit_text(lines, out)
-    if failed:
-        raise SystemExit(1)
+        return (covariant_qubit_detector(twice_j / 2),
+                matched_covariant_rule(twice_j / 2),
+                lambda rng: covariant_target(GroupElement.random(rng)),
+                d, theory, 2.0 / theory)
+
+    _law_scan("covariant-scan", "twice_j", range(1, twice_j_max + 1), family,
+              n_targets, tol, seed, out, j_max=twice_j_max)
 
 
 @main.command("net-scan")
-@click.option("--dim", "n", type=int, default=2, show_default=True)
-@click.option("--eps", "eps_list", type=float, multiple=True,
-              default=(1.2, 0.9, 0.7, 0.5, 0.35), show_default=True)
-@click.option("--budget", type=int, default=2000, show_default=True)
-@click.option("--samples", type=int, default=1000, show_default=True)
+@click.option("--dim", "n", type=click.IntRange(min=1), default=2, show_default=True)
+@click.option("--eps", "eps_list", type=click.FloatRange(0, 2, min_open=True),
+              multiple=True, default=(1.2, 0.9, 0.7, 0.5, 0.35), show_default=True)
+@click.option("--budget", type=click.IntRange(min=1), default=2000, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=1000, show_default=True)
 @click.option("--exp-min", type=float, default=1.3, show_default=True)
 @click.option("--exp-max", type=float, default=2.7, show_default=True)
 @click.option("--min-coverage", type=float, default=0.99, show_default=True)
@@ -223,7 +238,7 @@ def cmd_net_scan(n, eps_list, budget, samples, exp_min, exp_max, min_coverage,
 
 
 @main.command("exact-check")
-@click.option("--pairs", type=int, default=50, show_default=True)
+@click.option("--pairs", type=click.IntRange(min=0), default=50, show_default=True)
 @click.option("--tol", type=float, default=1e-10, show_default=True)
 @click.option("--negative-control", is_flag=True,
               help="Add rows with the transpose deliberately omitted.")

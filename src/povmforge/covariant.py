@@ -34,6 +34,15 @@ def _default_rep(g):
     return g.matrix
 
 
+def _rep_matrix(rep, g, dim):
+    v = as_matrix(rep(g))
+    if v.shape != (dim, dim):
+        raise ValueError(
+            f"representation output {v.shape} does not match seed dim {dim}"
+        )
+    return v
+
+
 def double_ket(v):
     """Vectorization |V⟩⟩ = Σ_mn V[m,n] |m⟩⊗|n⟩ (row index on the system)."""
     return as_matrix(v).reshape(-1)
@@ -46,11 +55,7 @@ def covariant_density(seed, g, rep=_default_rep):
     to the defining spin-1/2 matrix; supply another callable for different
     dimensions or representations.
     """
-    v = as_matrix(rep(g))
-    if v.shape != (seed.dim, seed.dim):
-        raise ValueError(
-            f"representation output {v.shape} does not match seed dim {seed.dim}"
-        )
+    v = _rep_matrix(rep, g, seed.dim)
     return v @ seed.nu.matrix @ v.conj().T
 
 
@@ -67,12 +72,8 @@ def bell_program_check(seed, g, rep=_default_rep, use_transpose=True):
     2√2·|Im ν₀₁| = √2·|r_y|; over Haar-random pure seeds it is uniform on
     [0, √2] with mean ≈ 0.71.
     """
-    v = as_matrix(rep(g))
     n = seed.dim
-    if v.shape != (n, n):
-        raise ValueError(
-            f"representation output {v.shape} does not match seed dim {n}"
-        )
+    v = _rep_matrix(rep, g, n)
     ket = double_ket(v)
     joint = np.outer(ket, ket.conj())
     nu = seed.nu.matrix

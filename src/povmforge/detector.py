@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import partial_trace_ancilla, tensor
 from .povm import DensityState, Povm, check_unitary, povm_distance
 
 
@@ -61,18 +60,21 @@ class AccuracyReport:
 def program(f, sigma):
     """System POVM realized by detector `f` with ancilla state `sigma`.
 
+    Computes Tr_A[(I ⊗ σ) F_k] as one contraction over the joint stack,
+    out_k[i, j] = Σ_ab σ_ab F_k[(i, b), (j, a)], without forming I ⊗ σ.
     That the output is again a valid POVM is a theorem (the programming map
     sends states into the POVM set); the Povm constructor re-checks it
     rather than assuming it.
     """
     if sigma.dim != f.anc_dim:
         raise ValueError(f"program state dim {sigma.dim} != ancilla dim {f.anc_dim}")
-    iotimes = tensor(np.eye(f.sys_dim), sigma.matrix)
-    effects = [
-        partial_trace_ancilla(iotimes @ fi, f.sys_dim, f.anc_dim)
-        for fi in f.joint.effects
-    ]
-    return Povm(effects)
+    n, d = f.sys_dim, f.anc_dim
+    joint = f.joint.effects.reshape(-1, n, d, n, d)
+    # σ is passed transposed and contiguous so both operands run along a
+    # with unit stride: numpy then sums with its vectorized kernel, which is
+    # faster and accumulates less roundoff than the strided loop.
+    sigma_t = np.ascontiguousarray(sigma.matrix.T)
+    return Povm(np.einsum("ba,kibja->kij", sigma_t, joint))
 
 
 def controlled_unitary_detector(ws, basis=None):
@@ -95,17 +97,13 @@ def controlled_unitary_detector(ws, basis=None):
         basis = np.eye(n)
     b = check_unitary(basis)
 
-    u = np.zeros((n, d, n, d), dtype=complex)
-    for k, w in enumerate(ws):
-        u[:, k, :, k] = w
-    u = u.reshape(n * d, n * d)
-
-    effects = []
-    for i in range(n):
-        col = b[:, i]
-        proj = tensor(np.outer(col, col.conj()), np.eye(d))
-        effects.append(u.conj().T @ proj @ u)
-    return Detector(n, d, Povm(effects))
+    # U is block diagonal in the ancilla basis, so
+    # F_i = Σ_k W_k†|ψ_i⟩⟨ψ_i|W_k ⊗ |k⟩⟨k|: write each block in place.
+    cols = np.einsum("kba,bi->ika", np.conj(ws), b)  # cols[i, k] = W_k†ψ_i
+    joint = np.zeros((n, n, d, n, d), dtype=complex)
+    ks = np.arange(d)
+    joint[:, :, ks, :, ks] = np.einsum("ika,ikb->kiab", cols, cols.conj())
+    return Detector(n, d, Povm(joint.reshape(n, n * d, n * d)))
 
 
 def accuracy_for_program(f, target, sigma):
@@ -113,15 +111,14 @@ def accuracy_for_program(f, target, sigma):
     return povm_distance(target, program(f, sigma))
 
 
-def estimate_accuracy(f, targets, programs, rng=None):
+def estimate_accuracy(f, targets, programs):
     """Score a detector against targets, minimizing over a program strategy.
 
     `programs` is either an explicit list of ancilla states or a rule
     mapping a target POVM to a single matched state. The result is an upper
     estimate of the true worst-case accuracy whenever the strategy spans
     only part of the ancilla state space; for constructions with matched
-    programs it is exact. `rng` is accepted for strategies that sample and
-    is unused otherwise.
+    programs it is exact.
     """
     targets = list(targets)
     if not targets:

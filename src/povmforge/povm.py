@@ -1,7 +1,8 @@
 """POVMs, Born-rule statistics and exact distance between measurements.
 
-A POVM is stored as an ordered list of effects. Distances pair outcomes by
-index; there is no relabeling optimization.
+A POVM is stored as one complex (k, n, n) array of its k effects, so the
+Born rule, distances and norm bounds act on the whole stack at once.
+Distances pair outcomes by index; there is no relabeling optimization.
 """
 
 import itertools
@@ -12,8 +13,6 @@ from .linalg import (
     CapacityError,
     as_matrix,
     check_hermitian,
-    fro_norm,
-    herm_eigh,
     op_norm,
 )
 
@@ -38,28 +37,35 @@ def check_unitary(u, tol=UNITARY_TOL):
 class Povm:
     """Positive operator-valued measure on a finite dimension.
 
+    `effects` is a complex (k, n, n) array, effect i at `effects[i]`.
     Validates hermiticity (1e-10 max-entry), positivity (min eigenvalue
     >= -1e-9, tolerating roundoff from constructions) and completeness
     (effects sum to the identity within 1e-9 in operator norm).
     """
 
     def __init__(self, effects):
-        effects = [check_hermitian(e) for e in effects]
+        effects = list(effects)
         if not effects:
             raise ValueError("a POVM needs at least one effect")
-        dim = effects[0].shape[0]
-        for e in effects:
+        dim = as_matrix(effects[0]).shape[0]
+        # Each effect is hermitized straight into the preallocated stack, so
+        # no second stack-sized copy is ever held.
+        stack = np.empty((len(effects), dim, dim), dtype=complex)
+        for k, e in enumerate(effects):
+            e = check_hermitian(e)
             if e.shape != (dim, dim):
                 raise ValueError("all effects must share one dimension")
-            low = np.linalg.eigvalsh(e)[0]
-            if low < -PSD_TOL:
-                raise ValueError(f"effect has negative eigenvalue {low:.3e}")
-        total = sum(effects)
-        dev = op_norm(total - np.eye(dim))
+            stack[k] = e
+        low = np.linalg.eigvalsh(stack)[:, 0].min()
+        if low < -PSD_TOL:
+            raise ValueError(f"effect has negative eigenvalue {low:.3e}")
+        total = stack.sum(axis=0)
+        total[np.diag_indices(dim)] -= 1.0
+        dev = op_norm(total)
         if dev > SUM_TOL:
             raise ValueError(f"effects do not sum to identity: deviation {dev:.3e}")
         self.dim = dim
-        self.effects = effects
+        self.effects = stack
 
     def __len__(self):
         return len(self.effects)
@@ -107,7 +113,7 @@ def born_probabilities(rho, p):
     """Outcome probabilities Re Tr[ρ P_i]."""
     if rho.dim != p.dim:
         raise ValueError(f"state dim {rho.dim} does not match POVM dim {p.dim}")
-    return [float(np.trace(rho.matrix @ e).real) for e in p.effects]
+    return np.einsum("ij,kji->k", rho.matrix, p.effects).real.tolist()
 
 
 def observable_from_unitary(w, basis=None):
@@ -119,12 +125,8 @@ def observable_from_unitary(w, basis=None):
     n = w.shape[0]
     if basis is None:
         basis = np.eye(n)
-    b = check_unitary(basis)
-    effects = []
-    for i in range(n):
-        col = w.conj().T @ b[:, i]
-        effects.append(np.outer(col, col.conj()))
-    return Povm(effects)
+    cols = w.conj().T @ check_unitary(basis)
+    return Povm(np.einsum("ai,bi->iab", cols, cols.conj()))
 
 
 def _check_comparable(p, q):
@@ -152,7 +154,9 @@ def povm_distance(p, q, return_witness=False):
             f"{k} outcomes exceeds the sign-enumeration cap of {SIGN_ENUM_CAP}; "
             "use distance_bounds for an upper bound"
         )
-    deltas = [pe - qe for pe, qe in zip(p.effects, q.effects)]
+    # A list of views, because the sign loop below walks it 2^(k-1) times
+    # and iterating a list is cheaper than making a view per row.
+    deltas = list(p.effects - q.effects)
     best = 0.0
     best_vec = None
     dim = p.dim
@@ -189,10 +193,7 @@ def two_outcome_distance(p, q):
 def distance_bounds(p, q):
     """Upper bounds (Σ_i ‖Δ_i‖, Σ_i ‖Δ_i‖₂) on the measurement distance."""
     _check_comparable(p, q)
-    sum_op = 0.0
-    sum_fro = 0.0
-    for pe, qe in zip(p.effects, q.effects):
-        delta = pe - qe
-        sum_op += op_norm(delta)
-        sum_fro += fro_norm(delta)
-    return sum_op, sum_fro
+    deltas = p.effects - q.effects
+    sum_op = np.linalg.norm(deltas, 2, axis=(1, 2)).sum()
+    sum_fro = np.linalg.norm(deltas, axis=(1, 2)).sum()
+    return float(sum_op), float(sum_fro)

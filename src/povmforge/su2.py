@@ -24,8 +24,8 @@ from itertools import combinations
 import numpy as np
 
 from .detector import Detector
-from .linalg import CapacityError, as_matrix, herm_eigh, tensor
-from .povm import DensityState, Povm, check_unitary
+from .linalg import CapacityError, herm_eigh, tensor
+from .povm import DensityState, Povm, check_unitary, observable_from_unitary
 
 SYMMETRIC_QUBIT_CAP = 12
 FIURASEK_COPY_CAP = 11
@@ -110,40 +110,13 @@ def compose(g, h):
 
 
 def _small_d(twice_j, beta):
-    # Wigner's formula as a sum over contractions; exact factorials keep the
-    # combinatorial prefactors stable well past j = 6.
-    dim = twice_j + 1
-    half = beta / 2.0
-    c, s = math.cos(half), math.sin(half)
-    out = np.zeros((dim, dim))
-    tms = range(twice_j, -twice_j - 1, -2)
-    for row, tmp in enumerate(tms):
-        for col, tm in enumerate(tms):
-            kmin = max(0, (tm - tmp) // 2)
-            kmax = min((twice_j + tm) // 2, (twice_j - tmp) // 2)
-            pref = math.sqrt(
-                math.factorial((twice_j + tmp) // 2)
-                * math.factorial((twice_j - tmp) // 2)
-                * math.factorial((twice_j + tm) // 2)
-                * math.factorial((twice_j - tm) // 2)
-            )
-            total = 0.0
-            for k in range(kmin, kmax + 1):
-                den = (
-                    math.factorial((twice_j + tm) // 2 - k)
-                    * math.factorial(k)
-                    * math.factorial((tmp - tm) // 2 + k)
-                    * math.factorial((twice_j - tmp) // 2 - k)
-                )
-                power = (tmp - tm) // 2 + k
-                total += (
-                    (-1.0) ** power
-                    / den
-                    * c ** (twice_j + (tm - tmp) // 2 - 2 * k)
-                    * s ** ((tmp - tm) // 2 + 2 * k)
-                )
-            out[row, col] = pref * total
-    return out
+    # d^j(beta) = exp(-i beta J_y), from the eigenvectors of the tridiagonal
+    # J_y = (J+ - J-)/2i; Condon-Shortley phases make <m+1|J+|m> positive.
+    j = twice_j / 2.0
+    m = np.arange(twice_j, -twice_j - 1, -2)[1:] / 2.0
+    j_plus = np.diag(np.sqrt(j * (j + 1) - m * (m + 1)), 1)
+    vals, vecs = np.linalg.eigh((j_plus - j_plus.T) / 2j)
+    return ((vecs * np.exp(-1j * beta * vals)) @ vecs.conj().T).real
 
 
 def _irrep_from_euler(twice_j, alpha, beta, gamma):
@@ -198,7 +171,10 @@ def _cg_exact(tj1, tm1, tj2, tm2, tJ, tM):
             * fac(tJ - tj1 - tm2 + 2 * k)
         )
         total += Fraction((-1) ** k) / den
-    return float(total) * math.sqrt(float(pref))
+    # total**2 * pref is the squared coefficient, at most 1, so unlike
+    # total and pref alone it always converts to a float.
+    value = math.sqrt(total * total * pref)
+    return value if total >= 0 else -value
 
 
 def _coerce_pair(j, m, names):
@@ -242,11 +218,12 @@ def coupling_isometry(j1, j2):
     row = 0
     for tJ in range(tj1 + tj2, abs(tj1 - tj2) - 1, -2):
         for tM in range(tJ, -tJ - 1, -2):
-            col = 0
+            # Only m1 + m2 = M couples; the other entries stay zero.
             for tm1 in range(tj1, -tj1 - 1, -2):
-                for tm2 in range(tj2, -tj2 - 1, -2):
+                tm2 = tM - tm1
+                if abs(tm2) <= tj2:
+                    col = (tj1 - tm1) // 2 * j2.dim + (tj2 - tm2) // 2
                     u[row, col] = _cg_exact(tj1, tm1, tj2, tm2, tJ, tM)
-                    col += 1
             row += 1
     return u
 
@@ -345,10 +322,8 @@ def rotated_highest_weight(j, g):
 
 
 def covariant_target(g):
-    """Sharp qubit observable {V_g|0><0|V_g†, V_g|1><1|V_g†}."""
-    v = as_matrix(g.matrix)
-    effects = [np.outer(v[:, i], v[:, i].conj()) for i in range(2)]
-    return Povm(effects)
+    """Sharp qubit observable {V_g|0><0|V_g†, V_g|1><1|V_g†}, that of W = V_g†."""
+    return observable_from_unitary(g.matrix.conj().T)
 
 
 def matched_fiurasek_rule(n_copies):

@@ -107,6 +107,22 @@ def test_exact_check_negative_control_rows(runner):
         assert float(row.split(",")[4]) > 1e-6
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["exact-check", "--pairs", "-1"],
+        ["fiurasek-scan", "--n-min", "5", "--n-max", "4"],
+        ["fiurasek-scan", "--n-min", "12", "--n-max", "12"],
+        ["covariant-scan", "--targets", "0"],
+        ["net-scan", "--eps", "3"],
+        ["net-scan", "--budget", "0"],
+    ],
+)
+def test_bad_usage_exits_2(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+
+
 def test_distance_command(runner, tmp_path):
     pa = tmp_path / "a.json"
     pb = tmp_path / "b.json"

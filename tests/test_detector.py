@@ -8,7 +8,7 @@ from povmforge.detector import (
     estimate_accuracy,
     program,
 )
-from povmforge.linalg import Rng, haar_unitary, tensor
+from povmforge.linalg import Rng, haar_unitary, partial_trace_ancilla, tensor
 from povmforge.povm import (
     DensityState,
     Povm,
@@ -17,6 +17,8 @@ from povmforge.povm import (
     povm_distance,
     pure_state,
 )
+
+from povmforge.su2 import fiurasek_detector, matched_fiurasek_rule
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
 
@@ -60,6 +62,42 @@ def test_program_ignores_decoupled_ancilla():
         out = program(det, sigma)
         for got, want in zip(out.effects, sys_povm.effects):
             assert np.abs(got - want).max() <= 1e-12
+
+
+def dense_program_effects(f, sigma):
+    """Oracle: Tr_A[(I ⊗ σ) F_k] with the dense I ⊗ σ, effect by effect."""
+    iotimes = tensor(np.eye(f.sys_dim), sigma.matrix)
+    return [
+        partial_trace_ancilla(iotimes @ fk, f.sys_dim, f.anc_dim)
+        for fk in f.joint.effects
+    ]
+
+
+@pytest.mark.parametrize("n,d,k", [(2, 2, 2), (2, 3, 3), (3, 2, 4), (3, 5, 3), (4, 4, 5)])
+def test_program_matches_dense_oracle(n, d, k):
+    rng = Rng(1000 + 100 * n + 10 * d + k)
+    det = random_detector(n, d, k, rng)
+    for _ in range(3):
+        sigma = random_state(d, rng)
+        out = program(det, sigma)
+        want = dense_program_effects(det, sigma)
+        assert out.effects.shape == (k, n, n)
+        assert np.abs(out.effects - np.asarray(want)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n_copies", [3, 6, 8])
+def test_program_matches_dense_oracle_fiurasek(n_copies):
+    det = fiurasek_detector(n_copies)
+    rng = Rng(1100 + n_copies)
+    rule = matched_fiurasek_rule(n_copies)
+    for _ in range(3):
+        sigma = rule(observable_from_unitary(haar_unitary(2, rng)))
+        out = program(det, sigma)
+        want = dense_program_effects(det, sigma)
+        assert np.abs(out.effects - np.asarray(want)).max() <= 1e-12
+    mixed = random_state(2 ** n_copies, rng)
+    out = program(det, mixed)
+    assert np.abs(out.effects - np.asarray(dense_program_effects(det, mixed))).max() <= 1e-12
 
 
 def test_program_dimension_mismatch():
@@ -118,6 +156,21 @@ def test_controlled_unitary_reproduces_each_branch():
         want = observable_from_unitary(w)
         for got, exp in zip(out.effects, want.effects):
             assert np.abs(got - exp).max() <= 1e-10
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (2, 3), (3, 4)])
+def test_controlled_unitary_matches_dense_interaction(n, d):
+    rng = Rng(1200 + 10 * n + d)
+    ws = [haar_unitary(n, rng) for _ in range(d)]
+    basis = haar_unitary(n, rng)
+    det = controlled_unitary_detector(ws, basis=basis)
+    u = np.zeros((n, d, n, d), dtype=complex)
+    for k, w in enumerate(ws):
+        u[:, k, :, k] = w
+    u = u.reshape(n * d, n * d)
+    for i in range(n):
+        proj = tensor(np.outer(basis[:, i], basis[:, i].conj()), np.eye(d))
+        assert np.abs(det.joint.effects[i] - u.conj().T @ proj @ u).max() <= 1e-12
 
 
 def test_controlled_unitary_rejects_nonunitary():

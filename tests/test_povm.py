@@ -52,6 +52,24 @@ def test_povm_validation_rejects_bad_inputs():
         Povm([])
 
 
+def test_povm_effects_are_one_complex_stack():
+    p = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2))])
+    assert isinstance(p.effects, np.ndarray)
+    assert p.effects.dtype == complex
+    assert p.effects.shape == (3, 2, 2)
+    assert len(p) == 3
+    assert np.abs(sum(p) - np.eye(2)).max() == 0.0
+
+
+def test_povm_rejects_ragged_and_nonsquare_effects():
+    with pytest.raises(ValueError):
+        Povm([np.eye(2) / 2, np.eye(3) / 2])
+    with pytest.raises(ValueError):
+        Povm([np.ones((2, 3))])
+    with pytest.raises(ValueError):
+        Povm([np.eye(2)[0]])
+
+
 def test_density_state_validation():
     with pytest.raises(ValueError):
         DensityState(np.diag([0.7, 0.7]))  # trace 1.4

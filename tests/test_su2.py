@@ -131,6 +131,14 @@ def test_irrep_unitary(twice_j):
     assert op_norm(u.conj().T @ u - np.eye(twice_j + 1)) <= 1e-10
 
 
+@pytest.mark.parametrize("twice_j", [61, 81, 99, 161, 200])
+def test_irrep_unitary_at_large_spin(twice_j):
+    rng = Rng(400 + twice_j)
+    for _ in range(5):
+        u = irrep_matrix(twice_j / 2, GroupElement.random(rng))
+        assert op_norm(u.conj().T @ u - np.eye(twice_j + 1)) <= 1e-12
+
+
 def test_cg_selection_rules():
     assert clebsch_gordan(0.5, 0.5, 1.0, 0.0, 1.5, 1.5) == 0.0  # M mismatch
     assert clebsch_gordan(0.5, 0.5, 1.0, 1.0, 2.5, 1.5) == 0.0  # triangle
@@ -183,6 +191,12 @@ def test_cg_against_sympy():
 
 @pytest.mark.parametrize("twice_j", range(1, 13))
 def test_cg_orthogonality(twice_j):
+    u = coupling_isometry(0.5, twice_j / 2)
+    assert np.abs(u @ u.T - np.eye(u.shape[0])).max() <= 1e-10
+
+
+@pytest.mark.parametrize("twice_j", [99, 161, 200])
+def test_cg_orthogonality_at_large_spin(twice_j):
     u = coupling_isometry(0.5, twice_j / 2)
     assert np.abs(u @ u.T - np.eye(u.shape[0])).max() <= 1e-10
 
@@ -341,6 +355,17 @@ def test_covariant_accuracy_and_linear_dimension():
         assert abs(d - 0.2) <= 1e-9
     assert det.anc_dim == 10
     assert det.anc_dim == pytest.approx(2.0 / 0.2)
+
+
+def test_covariant_accuracy_at_large_spin():
+    twice_j = 99  # d = 100, eps = 0.02
+    det = covariant_qubit_detector(twice_j / 2)
+    rule = matched_covariant_rule(twice_j / 2)
+    rng = Rng(67)
+    for _ in range(5):
+        target = covariant_target(GroupElement.random(rng))
+        d = povm_distance(target, program(det, rule(target)))
+        assert abs(d - 2.0 / (twice_j + 1)) <= 1e-9
 
 
 def test_covariant_requires_positive_spin():
