@@ -16,6 +16,7 @@ from .covariant import CovariantSeed, bell_program_check
 from .detector import estimate_accuracy
 from .linalg import Rng, haar_unitary
 from .povm import (
+    check_enumerable,
     distance_bounds,
     maximally_mixed,
     observable_from_unitary,
@@ -57,16 +58,6 @@ def _emit_text(lines, out):
         click.echo(f"wrote {out}")
     else:
         click.echo(text, nl=False)
-
-
-def _emit_json(payload, out):
-    text = json.dumps(payload, indent=1)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-        click.echo(f"wrote {out}")
-    else:
-        click.echo(text)
 
 
 seed_option = click.option(
@@ -198,10 +189,13 @@ def cmd_net_scan(n, eps_list, budget, samples, exp_min, exp_max, min_coverage,
     """Greedy net sizes across accuracies, with the fitted growth exponent.
 
     Writes one CSV row per accuracy and a JSON summary (exponent and fitted
-    prefactor). With --out FILE.csv the summary lands in FILE.json. Exits
-    nonzero if the exponent leaves [--exp-min, --exp-max] or any row's
-    coverage falls below --min-coverage.
+    prefactor). With --out FILE.csv the summary lands in FILE.json; an --out
+    ending in .json is bad usage. Exits nonzero if the exponent leaves
+    [--exp-min, --exp-max] or any row's coverage falls below --min-coverage.
     """
+    summary_out = os.path.splitext(out)[0] + ".json" if out else None
+    if out and summary_out == out:
+        raise click.UsageError(f"--out {out} is also the JSON summary's path")
     rng = Rng(seed)
     result = scaling_scan(n, list(eps_list), budget, rng, samples=samples)
     lines = _header(
@@ -232,7 +226,7 @@ def cmd_net_scan(n, eps_list, budget, samples, exp_min, exp_max, min_coverage,
         "min_coverage": min_coverage,
         "pass": not failed,
     }
-    _emit_json(payload, os.path.splitext(out)[0] + ".json" if out else None)
+    _emit_text([json.dumps(payload, indent=1)], summary_out)
     if failed:
         raise SystemExit(1)
 
@@ -293,8 +287,13 @@ def cmd_distance(povm_a, povm_b, seed, out):
     Emits {delta, sum_op_bound, sum_fro_bound, witness_state}; the bounds
     always satisfy delta <= sum_op <= sum_fro.
     """
-    p = povm_from_json(load_json(povm_a))
-    q = povm_from_json(load_json(povm_b))
+    # Bad input files are bad usage; errors from the eigensolves below are not.
+    try:
+        p = povm_from_json(load_json(povm_a))
+        q = povm_from_json(load_json(povm_b))
+        check_enumerable(p, q)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
     delta, witness = povm_distance(p, q, return_witness=True)
     sum_op, sum_fro = distance_bounds(p, q)
     payload = {
@@ -306,7 +305,7 @@ def cmd_distance(povm_a, povm_b, seed, out):
         "sum_fro_bound": sum_fro,
         "witness_state": matrix_to_json(witness.matrix),
     }
-    _emit_json(payload, out)
+    _emit_text([json.dumps(payload, indent=1)], out)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@ A covariant POVM density has the form V_g ν V_g† with ν a state. Measuring
 system and ancilla with the projectors onto |V_g⟩⟩ and programming with ν
 transposed reproduces that density exactly: no approximation enters at any
 dimension. The check here evaluates both sides pointwise at sampled group
-elements.
+elements, programming the Bell effect through the same contraction as
+:func:`povmforge.detector.program`.
 
 The transpose lives in the same basis that defines the double-ket; dropping
 it is the standard convention mistake, kept available as a negative
@@ -13,7 +14,8 @@ control.
 
 import numpy as np
 
-from .linalg import as_matrix, partial_trace_ancilla, tensor
+from .detector import _contract
+from .linalg import as_matrix
 from .su2 import GroupElement
 
 
@@ -62,7 +64,8 @@ def covariant_density(seed, g, rep=_default_rep):
 def bell_program_check(seed, g, rep=_default_rep, use_transpose=True):
     """Residual between V_g ν V_g† and its Bell-POVM programming.
 
-    Programs the rank-one joint effect |V_g⟩⟩⟨⟨V_g| with ν^⊤ and compares
+    Programs the rank-one joint effect |V_g⟩⟩⟨⟨V_g| with ν^⊤ through the
+    contraction behind :func:`povmforge.detector.program`, and compares
     against the direct density. The identity is exact, so the residual is
     numerical noise; with `use_transpose` off the comparison deliberately
     uses ν itself and the residual equals ‖ν − ν^⊤‖_F, which is zero only
@@ -77,8 +80,6 @@ def bell_program_check(seed, g, rep=_default_rep, use_transpose=True):
     ket = double_ket(v)
     joint = np.outer(ket, ket.conj())
     nu = seed.nu.matrix
-    programmed = partial_trace_ancilla(
-        tensor(np.eye(n), nu.T if use_transpose else nu) @ joint, n, n
-    )
+    programmed = _contract(joint[None], nu.T if use_transpose else nu, n, n)[0]
     direct = v @ nu @ v.conj().T
     return float(np.linalg.norm(direct - programmed))

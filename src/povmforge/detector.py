@@ -57,24 +57,30 @@ class AccuracyReport:
     per_target: list
 
 
-def program(f, sigma):
-    """System POVM realized by detector `f` with ancilla state `sigma`.
+def _contract(effects, sigma, n, d):
+    """Tr_A[(I ⊗ σ) F_k] for a (k, n·d, n·d) stack of joint operators.
 
-    Computes Tr_A[(I ⊗ σ) F_k] as one contraction over the joint stack,
-    out_k[i, j] = Σ_ab σ_ab F_k[(i, b), (j, a)], without forming I ⊗ σ.
-    That the output is again a valid POVM is a theorem (the programming map
-    sends states into the POVM set); the Povm constructor re-checks it
-    rather than assuming it.
+    One contraction, out_k[i, j] = Σ_ab σ_ab F_k[(i, b), (j, a)], without
+    forming I ⊗ σ; `sigma` is a plain d × d array.
     """
-    if sigma.dim != f.anc_dim:
-        raise ValueError(f"program state dim {sigma.dim} != ancilla dim {f.anc_dim}")
-    n, d = f.sys_dim, f.anc_dim
-    joint = f.joint.effects.reshape(-1, n, d, n, d)
     # σ is passed transposed and contiguous so both operands run along a
     # with unit stride: numpy then sums with its vectorized kernel, which is
     # faster and accumulates less roundoff than the strided loop.
-    sigma_t = np.ascontiguousarray(sigma.matrix.T)
-    return Povm(np.einsum("ba,kibja->kij", sigma_t, joint))
+    sigma_t = np.ascontiguousarray(sigma.T)
+    return np.einsum("ba,kibja->kij", sigma_t, effects.reshape(-1, n, d, n, d))
+
+
+def program(f, sigma):
+    """System POVM realized by detector `f` with ancilla state `sigma`.
+
+    The effects Tr_A[(I ⊗ σ) F_k] come from one contraction over the joint
+    stack (:func:`_contract`). That the output is again a valid POVM is a
+    theorem (the programming map sends states into the POVM set); the Povm
+    constructor re-checks it rather than assuming it.
+    """
+    if sigma.dim != f.anc_dim:
+        raise ValueError(f"program state dim {sigma.dim} != ancilla dim {f.anc_dim}")
+    return Povm(_contract(f.joint.effects, sigma.matrix, f.sys_dim, f.anc_dim))
 
 
 def controlled_unitary_detector(ws, basis=None):
@@ -124,10 +130,8 @@ def estimate_accuracy(f, targets, programs):
     if not targets:
         raise ValueError("need at least one target")
 
-    if callable(programs):
-        programmed = None
-        states = None
-    else:
+    states = programmed = None
+    if not callable(programs):
         states = list(programs)
         if not states:
             raise ValueError("program strategy is empty")
@@ -136,15 +140,14 @@ def estimate_accuracy(f, targets, programs):
 
     results = []
     for tid, target in enumerate(targets):
-        if programmed is None:
-            sigma = programs(target)
-            results.append(
-                PerTargetResult(tid, povm_distance(target, program(f, sigma)), 0, sigma)
-            )
+        if states is None:
+            candidates = [programs(target)]
+            povms = [program(f, candidates[0])]
         else:
-            deltas = [povm_distance(target, q) for q in programmed]
-            k = int(np.argmin(deltas))
-            results.append(PerTargetResult(tid, deltas[k], k, states[k]))
+            candidates, povms = states, programmed
+        deltas = [povm_distance(target, q) for q in povms]
+        k = int(np.argmin(deltas))
+        results.append(PerTargetResult(tid, deltas[k], k, candidates[k]))
 
     worst = max(range(len(results)), key=lambda i: results[i].delta)
     return AccuracyReport(

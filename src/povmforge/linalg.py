@@ -2,6 +2,9 @@
 
 Tensor ordering is system-major throughout the package: the first factor
 of a Kronecker product indexes the system, the second the ancilla.
+`tensor` and `partial_trace_ancilla` are the dense reference for the
+program map: the package programs detectors by one contraction instead, and
+the tests compare that contraction against these two.
 """
 
 import numpy as np
@@ -41,7 +44,7 @@ def as_matrix(m):
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 

@@ -136,6 +136,18 @@ def _check_comparable(p, q):
         raise ValueError("POVMs must have the same number of outcomes")
 
 
+def check_enumerable(p, q):
+    """Check that :func:`povm_distance` accepts the pair; return the outcome count."""
+    _check_comparable(p, q)
+    k = len(p.effects)
+    if k > SIGN_ENUM_CAP:
+        raise CapacityError(
+            f"{k} outcomes exceeds the sign-enumeration cap of {SIGN_ENUM_CAP}; "
+            "use distance_bounds for an upper bound"
+        )
+    return k
+
+
 def povm_distance(p, q, return_witness=False):
     """Exact measurement distance max_ρ Σ_i |Tr[ρ (P_i − Q_i)]|.
 
@@ -147,32 +159,24 @@ def povm_distance(p, q, return_witness=False):
 
     With `return_witness` the maximizing pure state is returned alongside.
     """
-    _check_comparable(p, q)
-    k = len(p.effects)
-    if k > SIGN_ENUM_CAP:
-        raise CapacityError(
-            f"{k} outcomes exceeds the sign-enumeration cap of {SIGN_ENUM_CAP}; "
-            "use distance_bounds for an upper bound"
-        )
+    k = check_enumerable(p, q)
     # A list of views, because the sign loop below walks it 2^(k-1) times
     # and iterating a list is cheaper than making a view per row.
     deltas = list(p.effects - q.effects)
     best = 0.0
-    best_vec = None
-    dim = p.dim
     for tail in itertools.product((1.0, -1.0), repeat=k - 1):
         signed = deltas[0].copy()
         for s, d in zip(tail, deltas[1:]):
             signed += s * d
-        vals, vecs = np.linalg.eigh((signed + signed.conj().T) / 2)
+        # Stored effects are exactly Hermitian, so every signed sum of their
+        # differences is too and goes to eigh as it is.
+        vals, vecs = np.linalg.eigh(signed)
         if vals[-1] >= best:
             best = float(vals[-1])
             best_vec = vecs[:, -1]
         if -vals[0] >= best:
             best = float(-vals[0])
             best_vec = vecs[:, 0]
-    if best_vec is None:
-        best_vec = np.eye(dim)[:, 0]
     if return_witness:
         return best, pure_state(best_vec)
     return best

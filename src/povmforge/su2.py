@@ -18,17 +18,17 @@ them anyway so every basis-dependent intermediate is reproducible.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 
 import numpy as np
 
 from .detector import Detector
-from .linalg import CapacityError, herm_eigh, tensor
-from .povm import DensityState, Povm, check_unitary, observable_from_unitary
+from .linalg import CapacityError, herm_eigh
+from .povm import Povm, check_unitary, observable_from_unitary, pure_state
 
 SYMMETRIC_QUBIT_CAP = 12
-FIURASEK_COPY_CAP = 11
+FIURASEK_COPY_CAP = SYMMETRIC_QUBIT_CAP - 1
 
 
 @dataclass(frozen=True)
@@ -286,11 +286,7 @@ def fiurasek_program(psi, n_copies):
     if v.shape != (2,):
         raise ValueError("program vector must be a qubit")
     v = v / np.linalg.norm(v)
-    rho = np.outer(v, v.conj())
-    out = np.ones((1, 1), dtype=complex)
-    for _ in range(n_copies):
-        out = tensor(out, rho)
-    return DensityState(out)
+    return pure_state(reduce(np.kron, [v] * n_copies, np.ones(1)))
 
 
 def covariant_qubit_detector(j):
@@ -304,21 +300,16 @@ def covariant_qubit_detector(j):
     j = AngularMomentum.coerce(j)
     if j.twice_j < 1:
         raise ValueError("need twice_j >= 1")
-    u = coupling_isometry(AngularMomentum(1), j)
-    plus_dim = j.twice_j + 2
-    proj = np.zeros((2 * j.dim, 2 * j.dim))
-    proj[:plus_dim, :plus_dim] = np.eye(plus_dim)
-    f0 = u.T @ proj @ u
+    # The j+ block is the first 2j+2 rows of the coupling isometry.
+    top = coupling_isometry(AngularMomentum(1), j)[: j.twice_j + 2]
+    f0 = top.T @ top
     joint = Povm([f0, np.eye(2 * j.dim) - f0])
     return Detector(2, j.dim, joint)
 
 
 def rotated_highest_weight(j, g):
     """Matched program state W_g |j,j><j,j| W_g† for the covariant detector."""
-    j = AngularMomentum.coerce(j)
-    w = irrep_matrix(j, g)
-    top = w[:, 0]
-    return DensityState(np.outer(top, top.conj()))
+    return pure_state(irrep_matrix(j, g)[:, 0])
 
 
 def covariant_target(g):

@@ -29,14 +29,11 @@ def quotient_distance(w, v, basis=None):
     v = check_unitary(v)
     if w.shape != v.shape:
         raise ValueError(f"dimension mismatch: {w.shape} vs {v.shape}")
-    n = w.shape[0]
-    prod = v @ w.conj().T
-    if basis is None:
-        overlaps = np.abs(np.diagonal(prod))
-    else:
-        b = check_unitary(basis)
-        overlaps = np.abs(np.einsum("ij,jk,ki->i", b.conj().T, prod, b))
-    return math.sqrt(max(2 * n - 2 * float(overlaps.sum()), 0.0))
+    if basis is not None:
+        # ⟨ψ_i|V W†|ψ_i⟩ is the diagonal of (B†V)(B†W)†.
+        b_dag = check_unitary(basis).conj().T
+        w, v = b_dag @ w, b_dag @ v
+    return float(_distances_to_centers(w, v[None])[0])
 
 
 def _distances_to_centers(w, centers):

@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from povmforge.cli import main
-from povmforge.povm import observable_from_unitary
+from povmforge.povm import Povm, observable_from_unitary
 from povmforge.serialize import povm_to_json, save_json
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
@@ -76,6 +76,18 @@ def test_net_scan_writes_csv_and_json(runner, tmp_path):
     assert summary["pass"] is True
 
 
+def test_net_scan_refuses_json_out(runner, tmp_path):
+    # The JSON summary would overwrite the CSV written to the same path.
+    out = tmp_path / "scan.json"
+    result = runner.invoke(
+        main,
+        ["net-scan", "--eps", "1.2", "--eps", "0.9", "--budget", "20",
+         "--samples", "20", "--out", str(out)],
+    )
+    assert result.exit_code == 2, result.output
+    assert not out.exists()
+
+
 def test_net_scan_band_failure(runner):
     result = runner.invoke(
         main,
@@ -142,6 +154,29 @@ def test_distance_identical_files(runner, tmp_path):
     result = runner.invoke(main, ["distance", str(pa), str(pa)])
     payload = json.loads(result.output)
     assert payload["delta"] <= 1e-12
+
+
+def _povm_file(path, effects):
+    path.write_text(json.dumps(povm_to_json(Povm(effects))))
+
+
+@pytest.mark.parametrize("case", ["not_json", "incomplete", "dims", "outcomes"])
+def test_distance_bad_input_files_exit_2(runner, tmp_path, case):
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    _povm_file(pa, [np.eye(2)])
+    _povm_file(pb, [np.eye(2)])
+    if case == "not_json":
+        pa.write_text("not json")
+    elif case == "incomplete":
+        pa.write_text(pb.read_text().replace("1.0", "0.5"))
+    elif case == "dims":
+        _povm_file(pb, [np.eye(3)])
+    else:
+        _povm_file(pa, [np.eye(2) / 21] * 21)
+        _povm_file(pb, [np.eye(2) / 21] * 21)
+    result = runner.invoke(main, ["distance", str(pa), str(pb)])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
 
 
 def test_out_file_written(runner, tmp_path):

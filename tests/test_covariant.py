@@ -117,6 +117,38 @@ def test_bell_check_custom_representation():
     ).max() <= 1e-12
 
 
+def dense_bell_residual(seed, v, use_transpose):
+    # The dense program map: Tr_A[(I ⊗ ν^⊤)|V⟩⟩⟨⟨V|] against V ν V†.
+    n = seed.dim
+    ket = double_ket(v)
+    nu = seed.nu.matrix
+    programmed = partial_trace_ancilla(
+        tensor(np.eye(n), nu.T if use_transpose else nu)
+        @ np.outer(ket, ket.conj()),
+        n,
+        n,
+    )
+    return fro_norm(v @ nu @ v.conj().T - programmed)
+
+
+@pytest.mark.parametrize("use_transpose", [True, False])
+def test_bell_check_matches_dense_program_map(use_transpose):
+    rng = Rng(13)
+    spin_one = lambda elem: irrep_matrix(1, elem)
+    cases = [
+        (CovariantSeed(pure_state(haar_unitary(2, rng)[:, 0])), None)
+        for _ in range(10)
+    ]
+    cases += [(CovariantSeed(random_mixed(2, rng)), None) for _ in range(5)]
+    cases += [(CovariantSeed(random_mixed(3, rng)), spin_one) for _ in range(5)]
+    for seed, rep in cases:
+        g = GroupElement.random(rng)
+        kwargs = {} if rep is None else {"rep": rep}
+        v = g.matrix if rep is None else rep(g)
+        got = bell_program_check(seed, g, use_transpose=use_transpose, **kwargs)
+        assert abs(got - dense_bell_residual(seed, v, use_transpose)) <= 1e-12
+
+
 def test_rep_dimension_mismatch():
     seed = CovariantSeed(maximally_mixed(3))
     with pytest.raises(ValueError):

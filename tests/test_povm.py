@@ -59,6 +59,10 @@ def test_povm_effects_are_one_complex_stack():
     assert p.effects.shape == (3, 2, 2)
     assert len(p) == 3
     assert np.abs(sum(p) - np.eye(2)).max() == 0.0
+    # Effects are stored exactly Hermitian, bit for bit, even when the input
+    # carries roundoff from matrix products.
+    for q in (p, random_povm(3, 4, Rng(5))):
+        assert np.array_equal(q.effects, q.effects.conj().transpose(0, 2, 1))
 
 
 def test_povm_rejects_ragged_and_nonsquare_effects():

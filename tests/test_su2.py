@@ -303,6 +303,20 @@ def test_fiurasek_program_validation():
     assert sigma.dim == 8
 
 
+@pytest.mark.parametrize("n_copies", [0, 1, 3, 6])
+def test_fiurasek_program_matches_kron_loop(n_copies):
+    # Oracle: N-fold Kronecker product of the one-copy density matrix.
+    g = Rng(19).generator
+    psi = g.standard_normal(2) + 1j * g.standard_normal(2)
+    v = psi / np.linalg.norm(psi)
+    want = np.ones((1, 1), dtype=complex)
+    for _ in range(n_copies):
+        want = tensor(want, np.outer(v, v.conj()))
+    got = fiurasek_program(psi, n_copies).matrix
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12
+
+
 def test_covariant_highest_weight_program():
     det = covariant_qubit_detector(0.5)
     sigma = rotated_highest_weight(0.5, GroupElement.identity())

@@ -67,6 +67,23 @@ def test_quotient_distance_with_basis():
     assert got == pytest.approx(want, abs=1e-10)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_quotient_distance_matches_closed_form(n):
+    # Squared distance 2n − 2 Σ_i |⟨ψ_i|V W†|ψ_i⟩|, one basis vector at a
+    # time. Squares are compared because at n = 1 the distance is zero and
+    # the square root would turn 1e-16 roundoff into 1e-8.
+    rng = Rng(4)
+    for _ in range(5):
+        w, v, b = (haar_unitary(n, rng) for _ in range(3))
+        for basis, cols in ((None, np.eye(n)), (b, b)):
+            overlaps = sum(
+                abs(np.vdot(cols[:, i], v @ w.conj().T @ cols[:, i]))
+                for i in range(n)
+            )
+            want = max(2 * n - 2 * overlaps, 0.0)
+            assert abs(quotient_distance(w, v, basis=basis) ** 2 - want) <= 1e-12
+
+
 def test_quotient_distance_shape_error():
     with pytest.raises(ValueError):
         quotient_distance(np.eye(2), np.eye(3))
