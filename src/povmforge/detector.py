@@ -11,7 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .povm import DensityState, Povm, check_unitary, povm_distance
+from .povm import (
+    DensityState,
+    Povm,
+    _signed_extremes,
+    check_enumerable,
+    check_unitary,
+    povm_distance,
+)
 
 
 class Detector:
@@ -125,29 +132,38 @@ def estimate_accuracy(f, targets, programs):
     estimate of the true worst-case accuracy whenever the strategy spans
     only part of the ancilla state space; for constructions with matched
     programs it is exact.
+
+    An explicit list is programmed once into an (m, k, n, n) effect stack,
+    and each target is scored against all m candidates in one run of the
+    blocked sign enumeration of :func:`povm_distance`; a block then holds
+    at most max(SIGN_BLOCK_ENTRIES, m·n²) matrix entries.
     """
     targets = list(targets)
     if not targets:
         raise ValueError("need at least one target")
 
-    states = programmed = None
+    states = None
     if not callable(programs):
         states = list(programs)
         if not states:
             raise ValueError("program strategy is empty")
         # Programmed POVMs do not depend on the target; compute each once.
-        programmed = [program(f, s) for s in states]
+        povms = [program(f, s) for s in states]
+        stack = np.stack([q.effects for q in povms])
 
     results = []
     for tid, target in enumerate(targets):
         if states is None:
             candidates = [programs(target)]
             povms = [program(f, candidates[0])]
+            stack = povms[0].effects[None]
         else:
-            candidates, povms = states, programmed
-        deltas = [povm_distance(target, q) for q in povms]
+            candidates = states
+        # Every programmed POVM shares the detector's dimension and outcomes.
+        check_enumerable(target, povms[0])
+        deltas, _ = _signed_extremes(target.effects - stack)
         k = int(np.argmin(deltas))
-        results.append(PerTargetResult(tid, deltas[k], k, candidates[k]))
+        results.append(PerTargetResult(tid, float(deltas[k]), k, candidates[k]))
 
     worst = max(range(len(results)), key=lambda i: results[i].delta)
     return AccuracyReport(

@@ -28,17 +28,18 @@ def matrix_to_json(m):
 def matrix_from_json(obj):
     try:
         rows, cols = int(obj["rows"]), int(obj["cols"])
-        re, im = obj["re"], obj["im"]
+        re = np.asarray(obj["re"], dtype=float)
+        im = np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive")
-    if len(re) != rows * cols or len(im) != rows * cols:
+    if re.shape != (rows * cols,) or im.shape != (rows * cols,):
         raise ValueError(
-            f"entry count mismatch: expected {rows * cols}, got re={len(re)} im={len(im)}"
+            f"entry count mismatch: expected {rows * cols} entries, "
+            f"got re shape {re.shape} and im shape {im.shape}"
         )
-    a = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
-    return as_matrix(a.reshape(rows, cols))
+    return as_matrix((re + 1j * im).reshape(rows, cols))
 
 
 def povm_to_json(p):
@@ -51,6 +52,8 @@ def povm_from_json(obj):
         effects = obj["effects"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed POVM JSON: {exc}") from exc
+    if not isinstance(effects, list):
+        raise ValueError("malformed POVM JSON: effects must be a list")
     mats = [matrix_from_json(e) for e in effects]
     p = Povm(mats)
     if p.dim != dim:

@@ -160,7 +160,9 @@ def _povm_file(path, effects):
     path.write_text(json.dumps(povm_to_json(Povm(effects))))
 
 
-@pytest.mark.parametrize("case", ["not_json", "incomplete", "dims", "outcomes"])
+@pytest.mark.parametrize(
+    "case", ["not_json", "incomplete", "dims", "outcomes", "effects_not_list", "re_not_list"]
+)
 def test_distance_bad_input_files_exit_2(runner, tmp_path, case):
     pa, pb = tmp_path / "a.json", tmp_path / "b.json"
     _povm_file(pa, [np.eye(2)])
@@ -171,9 +173,15 @@ def test_distance_bad_input_files_exit_2(runner, tmp_path, case):
         pa.write_text(pb.read_text().replace("1.0", "0.5"))
     elif case == "dims":
         _povm_file(pb, [np.eye(3)])
-    else:
+    elif case == "outcomes":
         _povm_file(pa, [np.eye(2) / 21] * 21)
         _povm_file(pb, [np.eye(2) / 21] * 21)
+    elif case == "effects_not_list":
+        pa.write_text(json.dumps({"dim": 2, "effects": 5}))
+    else:
+        obj = json.loads(pa.read_text())
+        obj["effects"][0]["re"] = 3
+        pa.write_text(json.dumps(obj))
     result = runner.invoke(main, ["distance", str(pa), str(pb)])
     assert result.exit_code == 2, result.output
     assert "Traceback" not in result.output

@@ -18,7 +18,9 @@ from povmforge.povm import (
     pure_state,
 )
 
+from povmforge import DEFAULT_SEED
 from povmforge.su2 import fiurasek_detector, matched_fiurasek_rule
+from povmforge.unet import build_net, net_detector
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
 
@@ -238,6 +240,36 @@ def test_estimate_accuracy_report_shape():
         assert r.delta == pytest.approx(
             povm_distance(targets[r.target_id], program(det, r.program)), abs=1e-12
         )
+
+
+def c8_case():
+    # Acceptance C8's net detector, its basis programs and its Haar targets.
+    rng = Rng(DEFAULT_SEED).child(8)
+    net = build_net(2, 0.7 / 2, 4000, rng.child(0))
+    child = rng.child(1)
+    targets = [observable_from_unitary(haar_unitary(2, child)) for _ in range(200)]
+    states = [pure_state(np.eye(len(net))[:, k]) for k in range(len(net))]
+    return net_detector(net), targets, states
+
+
+def many_outcome_case():
+    # 12 outcomes and 3 programs: the enumeration spans several blocks.
+    rng = Rng(14)
+    det = random_detector(2, 3, 12, rng)
+    targets = [random_povm(2, 12, rng) for _ in range(4)]
+    return det, targets, [random_state(3, rng) for _ in range(3)]
+
+
+@pytest.mark.parametrize("case", [c8_case, many_outcome_case])
+def test_estimate_accuracy_list_matches_per_state_distances(case):
+    det, targets, states = case()
+    report = estimate_accuracy(det, targets, states)
+    programmed = [program(det, s) for s in states]
+    for r, target in zip(report.per_target, targets):
+        deltas = [povm_distance(target, q) for q in programmed]
+        k = int(np.argmin(deltas))
+        assert r.program_index == k
+        assert abs(r.delta - deltas[k]) <= 1e-12
 
 
 def test_estimate_accuracy_rejects_empty():

@@ -5,6 +5,7 @@ import pytest
 
 from povmforge.linalg import CapacityError, Rng, fro_norm, haar_unitary
 from povmforge.povm import (
+    SUM_TOL,
     DensityState,
     Povm,
     born_probabilities,
@@ -52,6 +53,17 @@ def test_povm_validation_rejects_bad_inputs():
         Povm([])
 
 
+def test_povm_completeness_is_judged_by_operator_norm():
+    # The residual 5e-10·I on dimension 100 has Frobenius norm 5e-9, past
+    # SUM_TOL, but operator norm 5e-10, within it: the POVM is complete.
+    p = Povm([np.eye(100) * (1 + 5e-10)])
+    assert p.dim == 100
+    over = np.eye(100)
+    over[0, 0] += 1.1 * SUM_TOL
+    with pytest.raises(ValueError, match="do not sum to identity"):
+        Povm([over])
+
+
 def test_povm_effects_are_one_complex_stack():
     p = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2))])
     assert isinstance(p.effects, np.ndarray)
@@ -89,6 +101,10 @@ def test_pure_state_normalizes():
     assert np.allclose(s.matrix, np.diag([1.0, 0.0]))
     with pytest.raises(ValueError):
         pure_state([0.0, 0.0])
+    # pure_state skips the positivity eigensolve; it matches the checked path.
+    v = haar_unitary(5, Rng(6))[:, 0]
+    v = v / np.linalg.norm(v)
+    assert np.array_equal(pure_state(v).matrix, DensityState(np.outer(v, v.conj())).matrix)
 
 
 def test_born_eigenstate():
@@ -260,6 +276,60 @@ def test_jensen_with_ambient_frobenius():
                 observable_from_unitary(w), observable_from_unitary(v)
             )
             assert d <= np.sqrt(2 * n) * fro_norm(w - v) + 1e-9
+
+
+def loop_distance(p, q):
+    """Reference sign loop: one eigensolve per sign vector, in the order
+    itertools.product enumerates them."""
+    k = len(p.effects)
+    deltas = list(p.effects - q.effects)
+    best = 0.0
+    for tail in itertools.product((1.0, -1.0), repeat=k - 1):
+        signed = deltas[0].copy()
+        for s, d in zip(tail, deltas[1:]):
+            signed += s * d
+        vals = np.linalg.eigvalsh(signed)
+        best = max(best, float(vals[-1]), float(-vals[0]))
+    return best
+
+
+def assert_matches_loop(p, q):
+    want = loop_distance(p, q)
+    d, witness = povm_distance(p, q, return_witness=True)
+    assert abs(d - want) <= 1e-12
+    gap = np.abs(np.subtract(born_probabilities(witness, p), born_probabilities(witness, q)))
+    assert abs(gap.sum() - d) <= 1e-12
+
+
+# (4, 12) spans four blocks of 512 sign vectors; at n = 91, n² exceeds
+# SIGN_BLOCK_ENTRIES and each block holds a single signed sum.
+@pytest.mark.parametrize(
+    "n, k", [(2, 1), (2, 2), (2, 3), (3, 5), (4, 8), (4, 12), (8, 6), (91, 3)]
+)
+def test_distance_matches_loop_oracle(n, k):
+    rng = Rng(1000 + 32 * n + k)
+    assert_matches_loop(random_povm(n, k, rng), random_povm(n, k, rng))
+
+
+def test_distance_matches_loop_oracle_on_swap_pair():
+    # Swapping two outcomes gives δ = 2‖P_a − P_b‖ and many tied sign vectors.
+    p = random_povm(3, 6, Rng(73))
+    q = Povm(p.effects[[0, 4, 2, 3, 1, 5]])
+    assert_matches_loop(p, q)
+    assert povm_distance(p, q) == pytest.approx(
+        2 * np.linalg.norm(p.effects[1] - p.effects[4], 2), abs=1e-12
+    )
+
+
+def test_distance_maximizer_in_last_block():
+    # Δ_0 = A and Δ_i = −A/(k−1): only s = (+1, −1, …, −1), the last sign
+    # vector enumerated, reaches δ = 2‖A‖.
+    k = 12
+    a = np.diag([0.04, -0.02, 0.01, -0.03]) + 0.01 * np.eye(4)[::-1]
+    q = Povm([np.eye(4) / k] * k)
+    p = Povm([np.eye(4) / k + a] + [np.eye(4) / k - a / (k - 1)] * (k - 1))
+    assert_matches_loop(p, q)
+    assert povm_distance(p, q) == pytest.approx(2 * np.linalg.norm(a, 2), abs=1e-12)
 
 
 def test_sign_enumeration_matches_exhaustive():
