@@ -25,15 +25,16 @@ from .povm import (
 )
 from .serialize import load_json, matrix_to_json, povm_from_json
 from .su2 import (
-    FIURASEK_COPY_CAP,
     GroupElement,
     covariant_qubit_detector,
     covariant_target,
-    fiurasek_detector,
     matched_covariant_rule,
-    matched_fiurasek_rule,
 )
 from .unet import scaling_scan
+
+# fiurasek-scan's --n-max cap, the tested covariant range (2j <= 200); some
+# cap must stay, since 0.5 * 4**(1/eps) overflows from about N = 1023.
+SCAN_COPY_CAP = 200
 
 
 def _fmt(x):
@@ -82,25 +83,28 @@ def main():
     """Programmable-detector experiments with reproducible outputs."""
 
 
-def _law_scan(command, size_name, sizes, family, n_targets, tol, seed, out,
+def _law_scan(command, size_name, sizes, draw, cost, n_targets, tol, seed, out,
               **params):
-    """One CSV row per detector size checking its accuracy law; exit 1 on a miss.
+    """One CSV row per size checking the accuracy law 2/(size+1); exit 1 on a miss.
 
-    `family(size)` returns (detector, matched program rule, target draw
-    from an Rng, ancilla dimension d, theoretical accuracy, d recomputed
-    from that accuracy by the family's dimension-cost identity). Targets
-    come from the child stream Rng(seed).child(size).
+    Rows run `covariant_qubit_detector(size/2)` with its matched rule, which
+    at j = N/2 is the 2^N symmetric-projector detector restricted to the
+    symmetric subspace its N-copy programs live in. `draw(rng)` draws each
+    target from Rng(seed).child(size); `cost(size, eps)` gives the command's
+    ancilla dimension d and d recomputed from eps.
     """
     lines = _header(command, seed, tol, **params, targets=n_targets)
     lines.append(f"{size_name},d,epsilon_measured,epsilon_theory,max_abs_err")
     failed = False
     for size in sizes:
-        det, rule, draw, d, theory, d_from_theory = family(size)
+        theory = 2.0 / (size + 1)
+        d, d_from_theory = cost(size, theory)
         child = Rng(seed).child(size)
         targets = [draw(child) for _ in range(n_targets)]
-        report = estimate_accuracy(det, targets, rule)
+        report = estimate_accuracy(covariant_qubit_detector(size / 2), targets,
+                                   matched_covariant_rule(size / 2))
         err = max(abs(r.delta - theory) for r in report.per_target)
-        if err > tol or abs(d - d_from_theory) > 1e-6:
+        if err > tol or abs(d - d_from_theory) > 1e-12 * d:
             failed = True
         lines.append(
             ",".join(_fmt(v) for v in (size, d, report.epsilon, theory, err))
@@ -129,22 +133,19 @@ def cmd_fiurasek_scan(n_min, n_max, n_targets, tol, seed, out):
     Ancilla dimension d = 2^N, accuracy 2/(N+1): exponentially expensive
     programming. Each row checks measured accuracy on Haar-random sharp
     targets with matched program states, plus the d = 4^(1/eps)/2 identity.
+    Rows run the covariant detector at j = N/2, which is this detector on
+    the N-copy symmetric subspace, so N goes up to 200 at O(N^2) cost.
     """
     if n_max < n_min:
         raise click.UsageError(f"empty range: --n-max {n_max} < --n-min {n_min}")
-    if n_max > FIURASEK_COPY_CAP:
+    if n_max > SCAN_COPY_CAP:
         raise click.UsageError(
-            f"--n-max {n_max} exceeds the copy cap {FIURASEK_COPY_CAP}"
+            f"--n-max {n_max} exceeds the copy cap {SCAN_COPY_CAP}"
         )
-
-    def family(n):
-        theory = 2.0 / (n + 1)
-        return (fiurasek_detector(n), matched_fiurasek_rule(n),
-                lambda rng: observable_from_unitary(haar_unitary(2, rng)),
-                2 ** n, theory, 0.5 * 4.0 ** (1.0 / theory))
-
-    _law_scan("fiurasek-scan", "N", range(n_min, n_max + 1), family, n_targets,
-              tol, seed, out, n_min=n_min, n_max=n_max)
+    _law_scan("fiurasek-scan", "N", range(n_min, n_max + 1),
+              lambda rng: observable_from_unitary(haar_unitary(2, rng)),
+              lambda n, eps: (2 ** n, 0.5 * 4.0 ** (1.0 / eps)),
+              n_targets, tol, seed, out, n_min=n_min, n_max=n_max)
 
 
 @main.command("covariant-scan")
@@ -160,16 +161,9 @@ def cmd_covariant_scan(twice_j_max, n_targets, tol, seed, out):
     Ancilla dimension d = 2j+1, accuracy 2/d: linear scaling. Rows check
     measured accuracy on rotated sharp targets and the d = 2/eps identity.
     """
-
-    def family(twice_j):
-        d = twice_j + 1
-        theory = 2.0 / d
-        return (covariant_qubit_detector(twice_j / 2),
-                matched_covariant_rule(twice_j / 2),
-                lambda rng: covariant_target(GroupElement.random(rng)),
-                d, theory, 2.0 / theory)
-
-    _law_scan("covariant-scan", "twice_j", range(1, twice_j_max + 1), family,
+    _law_scan("covariant-scan", "twice_j", range(1, twice_j_max + 1),
+              lambda rng: covariant_target(GroupElement.random(rng)),
+              lambda twice_j, eps: (twice_j + 1, 2.0 / eps),
               n_targets, tol, seed, out, j_max=twice_j_max)
 
 

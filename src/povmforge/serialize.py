@@ -96,6 +96,8 @@ def net_from_json(obj):
         centers = obj["centers"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed net JSON: {exc}") from exc
+    if not isinstance(centers, list):
+        raise ValueError("malformed net JSON: centers must be a list")
     mats = np.asarray([matrix_from_json(c) for c in centers])
     return UnitaryNet(dim=dim, radius=radius, centers=mats, seed=seed)
 

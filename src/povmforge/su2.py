@@ -267,7 +267,9 @@ def fiurasek_detector(n_copies):
     The first outcome is the symmetric projector on N+1 qubits, system
     qubit first. Programmed with N copies of a pure state psi it realizes
     Q0 = psi + (I - psi)/(N+1), missing the sharp target observable by
-    exactly 2/(N+1) while the ancilla dimension grows as 2^N.
+    exactly 2/(N+1) while the ancilla dimension grows as 2^N. This dense
+    form is the reference; on the symmetric subspace the N-copy programs
+    live in, it equals `covariant_qubit_detector(N/2)`.
     """
     if n_copies < 1:
         raise ValueError("need at least one program copy")

@@ -39,6 +39,17 @@ def test_fiurasek_scan_tolerance_breach_fails(runner):
     assert result.exit_code == 1
 
 
+def test_fiurasek_scan_at_copy_cap(runner):
+    # d stays an exact integer; the row is the 2j = 200 covariant row.
+    result = runner.invoke(
+        main, ["fiurasek-scan", "--n-min", "200", "--n-max", "200", "--targets", "3"]
+    )
+    assert result.exit_code == 0, result.output
+    n, d, _, _, err = result.output.strip().splitlines()[-1].split(",")
+    assert n == "200" and d == str(2**200)
+    assert float(err) <= 1e-9
+
+
 def test_seed_env_var(runner):
     viaflag = runner.invoke(main, ["fiurasek-scan", "--n-max", "1", "--seed", "77"])
     viaenv = runner.invoke(
@@ -124,7 +135,7 @@ def test_exact_check_negative_control_rows(runner):
     [
         ["exact-check", "--pairs", "-1"],
         ["fiurasek-scan", "--n-min", "5", "--n-max", "4"],
-        ["fiurasek-scan", "--n-min", "12", "--n-max", "12"],
+        ["fiurasek-scan", "--n-min", "201", "--n-max", "201"],
         ["covariant-scan", "--targets", "0"],
         ["net-scan", "--eps", "3"],
         ["net-scan", "--budget", "0"],

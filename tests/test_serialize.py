@@ -84,6 +84,11 @@ def test_net_round_trip():
     assert np.abs(back.centers - net.centers).max() <= 1e-15
 
 
+def test_net_rejects_malformed():
+    with pytest.raises(ValueError, match="centers"):
+        net_from_json({"dim": 2, "radius": 0.5, "seed": 1, "centers": 5})
+
+
 def test_file_round_trip(tmp_path):
     p = observable_from_unitary(haar_unitary(2, Rng(5)))
     path = tmp_path / "povm.json"

@@ -7,9 +7,9 @@ import scipy.linalg
 from sympy import Rational
 from sympy.physics.quantum.cg import CG as SympyCG
 
-from povmforge.detector import program
+from povmforge.detector import estimate_accuracy, program
 from povmforge.linalg import CapacityError, Rng, haar_unitary, op_norm, tensor
-from povmforge.povm import Povm, povm_distance
+from povmforge.povm import Povm, observable_from_unitary, povm_distance
 from povmforge.su2 import (
     AngularMomentum,
     GroupElement,
@@ -315,6 +315,32 @@ def test_fiurasek_program_matches_kron_loop(n_copies):
     got = fiurasek_program(psi, n_copies).matrix
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n_copies", range(1, 9))
+def test_fiurasek_restricts_to_covariant(n_copies):
+    # Dicke column k (k excitations) is the spin-N/2 state m = N/2 - k, so
+    # I (x) D carries the covariant detector into the symmetric subspace.
+    j = n_copies / 2
+    dicke = np.column_stack([dicke_state(n_copies, k) for k in range(n_copies + 1)])
+    embed = np.kron(np.eye(2), dicke)
+    dense, cov = fiurasek_detector(n_copies), covariant_qubit_detector(j)
+    for f_dense, f_cov in zip(dense.joint.effects, cov.joint.effects):
+        assert np.abs(embed.T @ f_dense @ embed - f_cov).max() <= 1e-12
+
+    dense_rule, cov_rule = matched_fiurasek_rule(n_copies), matched_covariant_rule(j)
+    rng = Rng(500 + n_copies)
+    targets = [observable_from_unitary(haar_unitary(2, rng)) for _ in range(10)]
+    for t in targets:
+        sigma_dense, sigma_cov = dense_rule(t), cov_rule(t)
+        restricted = dicke.T @ sigma_dense.matrix @ dicke
+        assert np.abs(restricted - sigma_cov.matrix).max() <= 1e-12
+        got = program(dense, sigma_dense).effects
+        assert np.abs(got - program(cov, sigma_cov).effects).max() <= 1e-12
+    dense_report = estimate_accuracy(dense, targets, dense_rule)
+    cov_report = estimate_accuracy(cov, targets, cov_rule)
+    for a, b in zip(dense_report.per_target, cov_report.per_target):
+        assert abs(a.delta - b.delta) <= 1e-12
 
 
 def test_covariant_highest_weight_program():
