@@ -63,7 +63,7 @@ def _emit_text(lines, out):
 
 seed_option = click.option(
     "--seed",
-    type=int,
+    type=click.IntRange(0, 2**64 - 1),
     default=DEFAULT_SEED,
     show_default=True,
     envvar="POVMFORGE_SEED",
@@ -124,7 +124,7 @@ targets_option = click.option(
 @click.option("--n-min", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--n-max", type=int, default=6, show_default=True)
 @targets_option
-@click.option("--tol", type=float, default=1e-9, show_default=True)
+@click.option("--tol", type=click.FloatRange(min=0), default=1e-9, show_default=True)
 @seed_option
 @out_option
 def cmd_fiurasek_scan(n_min, n_max, n_targets, tol, seed, out):
@@ -152,7 +152,7 @@ def cmd_fiurasek_scan(n_min, n_max, n_targets, tol, seed, out):
 @click.option("--j-max", "twice_j_max", type=click.IntRange(min=1), default=9,
               show_default=True, help="Largest ancilla spin, as twice j.")
 @targets_option
-@click.option("--tol", type=float, default=1e-9, show_default=True)
+@click.option("--tol", type=click.FloatRange(min=0), default=1e-9, show_default=True)
 @seed_option
 @out_option
 def cmd_covariant_scan(twice_j_max, n_targets, tol, seed, out):
@@ -175,7 +175,8 @@ def cmd_covariant_scan(twice_j_max, n_targets, tol, seed, out):
 @click.option("--samples", type=click.IntRange(min=1), default=1000, show_default=True)
 @click.option("--exp-min", type=float, default=1.3, show_default=True)
 @click.option("--exp-max", type=float, default=2.7, show_default=True)
-@click.option("--min-coverage", type=float, default=0.99, show_default=True)
+@click.option("--min-coverage", type=click.FloatRange(0, 1), default=0.99,
+              show_default=True)
 @seed_option
 @out_option
 def cmd_net_scan(n, eps_list, budget, samples, exp_min, exp_max, min_coverage,
@@ -187,6 +188,8 @@ def cmd_net_scan(n, eps_list, budget, samples, exp_min, exp_max, min_coverage,
     ending in .json is bad usage. Exits nonzero if the exponent leaves
     [--exp-min, --exp-max] or any row's coverage falls below --min-coverage.
     """
+    if exp_min > exp_max:
+        raise click.UsageError(f"empty band: --exp-min {exp_min} > --exp-max {exp_max}")
     summary_out = os.path.splitext(out)[0] + ".json" if out else None
     if out and summary_out == out:
         raise click.UsageError(f"--out {out} is also the JSON summary's path")
@@ -227,7 +230,7 @@ def cmd_net_scan(n, eps_list, budget, samples, exp_min, exp_max, min_coverage,
 
 @main.command("exact-check")
 @click.option("--pairs", type=click.IntRange(min=0), default=50, show_default=True)
-@click.option("--tol", type=float, default=1e-10, show_default=True)
+@click.option("--tol", type=click.FloatRange(min=0), default=1e-10, show_default=True)
 @click.option("--negative-control", is_flag=True,
               help="Add rows with the transpose deliberately omitted.")
 @seed_option

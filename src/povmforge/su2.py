@@ -18,7 +18,7 @@ them anyway so every basis-dependent intermediate is reproducible.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -53,11 +53,14 @@ class AngularMomentum:
     def coerce(value):
         if isinstance(value, AngularMomentum):
             return value
-        twice = 2 * float(value)
-        rounded = round(twice)
-        if abs(twice - rounded) > 1e-9:
-            raise ValueError(f"{value} is not a half-integer")
-        return AngularMomentum(int(rounded))
+        return AngularMomentum(_twice_half_integer(value))
+
+
+def _twice_half_integer(value):
+    twice = 2 * float(value)
+    if not math.isfinite(twice) or abs(twice - round(twice)) > 1e-9:
+        raise ValueError(f"{value} is not a finite half-integer")
+    return int(round(twice))
 
 
 class GroupElement:
@@ -109,19 +112,24 @@ def compose(g, h):
     return GroupElement.from_matrix(g.matrix @ h.matrix)
 
 
-def _small_d(twice_j, beta):
-    # d^j(beta) = exp(-i beta J_y), from the eigenvectors of the tridiagonal
-    # J_y = (J+ - J-)/2i; Condon-Shortley phases make <m+1|J+|m> positive.
+def _spin_ladder(twice_j):
+    # The m-descending basis m = j, ..., -j and J+ in it; Condon-Shortley
+    # phases make <m+1|J+|m> = sqrt(j(j+1) - m(m+1)) positive.
     j = twice_j / 2.0
-    m = np.arange(twice_j, -twice_j - 1, -2)[1:] / 2.0
-    j_plus = np.diag(np.sqrt(j * (j + 1) - m * (m + 1)), 1)
+    m = np.arange(twice_j, -twice_j - 1, -2) / 2.0
+    return m, np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1)
+
+
+def _small_d(j_plus, beta):
+    # d^j(beta) = exp(-i beta J_y), from the eigenvectors of the tridiagonal
+    # J_y = (J+ - J-)/2i, with J+ from `_spin_ladder`.
     vals, vecs = np.linalg.eigh((j_plus - j_plus.T) / 2j)
     return ((vecs * np.exp(-1j * beta * vals)) @ vecs.conj().T).real
 
 
 def _irrep_from_euler(twice_j, alpha, beta, gamma):
-    d = _small_d(twice_j, beta)
-    ms = np.arange(twice_j, -twice_j - 1, -2) / 2.0
+    ms, j_plus = _spin_ladder(twice_j)
+    d = _small_d(j_plus, beta)
     return np.exp(-1j * ms[:, None] * alpha) * d * np.exp(-1j * ms[None, :] * gamma)
 
 
@@ -131,7 +139,6 @@ def irrep_matrix(j, g):
     return _irrep_from_euler(j.twice_j, *g.euler_angles)
 
 
-@lru_cache(maxsize=None)
 def _cg_exact(tj1, tm1, tj2, tm2, tJ, tM):
     # Racah's closed form. Everything under the square root and the
     # alternating sum are exact rationals; only the final sqrt is floating.
@@ -179,10 +186,7 @@ def _cg_exact(tj1, tm1, tj2, tm2, tJ, tM):
 
 def _coerce_pair(j, m, names):
     jj = AngularMomentum.coerce(j)
-    tm = round(2 * float(m))
-    if abs(2 * float(m) - tm) > 1e-9:
-        raise ValueError(f"{names[1]} must be a half-integer")
-    tm = int(tm)
+    tm = _twice_half_integer(m)
     if abs(tm) > jj.twice_j:
         raise ValueError(f"|{names[1]}| exceeds {names[0]}")
     if (jj.twice_j - tm) % 2 != 0:
@@ -208,7 +212,8 @@ def coupling_isometry(j1, j2):
     Rows are coupled states ordered by J descending from j1+j2 to |j1-j2|,
     M descending inside each block; columns are the product basis with m1
     major, m2 minor, both descending. Entries are Clebsch-Gordan
-    coefficients, so unitarity is their orthogonality.
+    coefficients, so unitarity is their orthogonality. The general coupling,
+    and for 1/2 x j the test oracle of `covariant_qubit_detector`.
     """
     j1 = AngularMomentum.coerce(j1)
     j2 = AngularMomentum.coerce(j2)
@@ -295,16 +300,17 @@ def covariant_qubit_detector(j):
     """Two-outcome detector from the 1/2 x j angular momentum coupling.
 
     The first outcome projects onto the j+ = j + 1/2 irreducible block,
-    expressed back in the product basis. The detector commutes with the
-    joint rotation action, which is what forces the programmed POVM into
-    covariant form. Ancilla dimension is 2j+1.
+    P+ = ((j+1) I + 2 S.J)/(2j+1), where in the product basis, system major,
+    2 S.J = sigma_z x J_z + |0><1| x J_- + |1><0| x J_+. S.J commutes with
+    the joint rotation U_g x W_g, and so does P+, which forces the
+    programmed POVM into covariant form. Ancilla dimension is 2j+1.
     """
     j = AngularMomentum.coerce(j)
     if j.twice_j < 1:
         raise ValueError("need twice_j >= 1")
-    # The j+ block is the first 2j+2 rows of the coupling isometry.
-    top = coupling_isometry(AngularMomentum(1), j)[: j.twice_j + 2]
-    f0 = top.T @ top
+    m, jp = _spin_ladder(j.twice_j)
+    a = (j.j + 1) * np.eye(j.dim)
+    f0 = np.block([[a + np.diag(m), jp.T], [jp, a - np.diag(m)]]) / (j.twice_j + 1)
     joint = Povm([f0, np.eye(2 * j.dim) - f0])
     return Detector(2, j.dim, joint)
 

@@ -139,10 +139,25 @@ def test_exact_check_negative_control_rows(runner):
         ["covariant-scan", "--targets", "0"],
         ["net-scan", "--eps", "3"],
         ["net-scan", "--budget", "0"],
+        ["fiurasek-scan", "--seed", "-1"],
+        ["fiurasek-scan", "--seed", str(2**64)],
+        ["fiurasek-scan", "--tol", "-1e-9"],
+        ["covariant-scan", "--tol", "-1e-9"],
+        ["exact-check", "--tol", "-1e-10"],
+        ["net-scan", "--min-coverage", "1.5"],
+        ["net-scan", "--min-coverage", "-0.1"],
+        ["net-scan", "--exp-min", "2.7", "--exp-max", "1.3"],
     ],
 )
 def test_bad_usage_exits_2(runner, args):
     result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_bad_seed_env_var_exits_2(runner, seed):
+    result = runner.invoke(main, ["fiurasek-scan", "--n-max", "1"],
+                           env={"POVMFORGE_SEED": seed})
     assert result.exit_code == 2, result.output
 
 

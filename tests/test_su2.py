@@ -65,6 +65,9 @@ def test_angular_momentum_basics():
         AngularMomentum(-1)
     with pytest.raises(ValueError):
         AngularMomentum.coerce(0.3)
+    for bad in (math.inf, -math.inf, math.nan, 1e308):
+        with pytest.raises(ValueError):
+            AngularMomentum.coerce(bad)
 
 
 def test_group_element_identity():
@@ -151,6 +154,11 @@ def test_cg_malformed_inputs():
         clebsch_gordan(0.3, 0.3, 1.0, 0.0, 1.0, 0.3)  # not half-integer
     with pytest.raises(ValueError):
         clebsch_gordan(1.0, 0.5, 1.0, 0.0, 2.0, 0.5)  # parity
+    for bad in (math.inf, math.nan):  # not finite, as m or as j
+        with pytest.raises(ValueError):
+            clebsch_gordan(0.5, bad, 1.0, 0.0, 1.5, 0.5)
+        with pytest.raises(ValueError):
+            clebsch_gordan(0.5, 0.5, bad, 0.0, 1.5, 0.5)
 
 
 @pytest.mark.parametrize("twice_j", range(1, 13))
@@ -398,14 +406,23 @@ def test_covariant_accuracy_and_linear_dimension():
 
 
 def test_covariant_accuracy_at_large_spin():
-    twice_j = 99  # d = 100, eps = 0.02
-    det = covariant_qubit_detector(twice_j / 2)
-    rule = matched_covariant_rule(twice_j / 2)
-    rng = Rng(67)
-    for _ in range(5):
-        target = covariant_target(GroupElement.random(rng))
-        d = povm_distance(target, program(det, rule(target)))
-        assert abs(d - 2.0 / (twice_j + 1)) <= 1e-9
+    # d = 100, eps = 0.02; and 2j = 400, which covariant-scan --j-max allows.
+    for twice_j in (99, 400):
+        det = covariant_qubit_detector(twice_j / 2)
+        rule = matched_covariant_rule(twice_j / 2)
+        rng = Rng(67)
+        for _ in range(5):
+            target = covariant_target(GroupElement.random(rng))
+            d = povm_distance(target, program(det, rule(target)))
+            assert abs(d - 2.0 / (twice_j + 1)) <= 1e-9
+
+
+@pytest.mark.parametrize("twice_j", [*range(1, 13), 81, 99, 161, 200])
+def test_covariant_detector_matches_coupling_oracle(twice_j):
+    # The closed-form j+ projector against the Clebsch-Gordan one.
+    top = coupling_isometry(0.5, twice_j / 2)[: twice_j + 2]
+    f0 = covariant_qubit_detector(twice_j / 2).joint.effects[0]
+    assert np.abs(f0 - top.T @ top).max() <= 1e-12
 
 
 def test_covariant_requires_positive_spin():
