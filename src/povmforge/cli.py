@@ -7,6 +7,7 @@ and '#' comment lines; JSON outputs carry the same metadata under "_meta".
 """
 
 import json
+import math
 import os
 
 import click
@@ -59,6 +60,16 @@ def _emit_text(lines, out):
         click.echo(f"wrote {out}")
     else:
         click.echo(text, nl=False)
+
+
+class _FiniteRange(click.FloatRange):
+    # FloatRange's bounds compare false for NaN: refuse NaN and ±inf outright.
+    def convert(self, value, param, ctx):
+        x = super().convert(value, param, ctx)
+        return x if math.isfinite(x) else self.fail(f"{x} is not finite.", param, ctx)
+
+    def _describe_range(self):
+        return "" if self.min is None and self.max is None else super()._describe_range()
 
 
 seed_option = click.option(
@@ -124,7 +135,7 @@ targets_option = click.option(
 @click.option("--n-min", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--n-max", type=int, default=6, show_default=True)
 @targets_option
-@click.option("--tol", type=click.FloatRange(min=0), default=1e-9, show_default=True)
+@click.option("--tol", type=_FiniteRange(min=0), default=1e-9, show_default=True)
 @seed_option
 @out_option
 def cmd_fiurasek_scan(n_min, n_max, n_targets, tol, seed, out):
@@ -152,7 +163,7 @@ def cmd_fiurasek_scan(n_min, n_max, n_targets, tol, seed, out):
 @click.option("--j-max", "twice_j_max", type=click.IntRange(min=1), default=9,
               show_default=True, help="Largest ancilla spin, as twice j.")
 @targets_option
-@click.option("--tol", type=click.FloatRange(min=0), default=1e-9, show_default=True)
+@click.option("--tol", type=_FiniteRange(min=0), default=1e-9, show_default=True)
 @seed_option
 @out_option
 def cmd_covariant_scan(twice_j_max, n_targets, tol, seed, out):
@@ -169,13 +180,13 @@ def cmd_covariant_scan(twice_j_max, n_targets, tol, seed, out):
 
 @main.command("net-scan")
 @click.option("--dim", "n", type=click.IntRange(min=1), default=2, show_default=True)
-@click.option("--eps", "eps_list", type=click.FloatRange(0, 2, min_open=True),
+@click.option("--eps", "eps_list", type=_FiniteRange(0, 2, min_open=True),
               multiple=True, default=(1.2, 0.9, 0.7, 0.5, 0.35), show_default=True)
 @click.option("--budget", type=click.IntRange(min=1), default=2000, show_default=True)
 @click.option("--samples", type=click.IntRange(min=1), default=1000, show_default=True)
-@click.option("--exp-min", type=float, default=1.3, show_default=True)
-@click.option("--exp-max", type=float, default=2.7, show_default=True)
-@click.option("--min-coverage", type=click.FloatRange(0, 1), default=0.99,
+@click.option("--exp-min", type=_FiniteRange(), default=1.3, show_default=True)
+@click.option("--exp-max", type=_FiniteRange(), default=2.7, show_default=True)
+@click.option("--min-coverage", type=_FiniteRange(0, 1), default=0.99,
               show_default=True)
 @seed_option
 @out_option
@@ -230,7 +241,7 @@ def cmd_net_scan(n, eps_list, budget, samples, exp_min, exp_max, min_coverage,
 
 @main.command("exact-check")
 @click.option("--pairs", type=click.IntRange(min=0), default=50, show_default=True)
-@click.option("--tol", type=click.FloatRange(min=0), default=1e-10, show_default=True)
+@click.option("--tol", type=_FiniteRange(min=0), default=1e-10, show_default=True)
 @click.option("--negative-control", is_flag=True,
               help="Add rows with the transpose deliberately omitted.")
 @seed_option

@@ -7,12 +7,7 @@ Distances pair outcomes by index; there is no relabeling optimization.
 
 import numpy as np
 
-from .linalg import (
-    CapacityError,
-    as_matrix,
-    check_hermitian,
-    op_norm,
-)
+from .linalg import CapacityError, as_matrix, check_hermitian, op_norm
 
 PSD_TOL = 1e-9
 SUM_TOL = 1e-9
@@ -25,12 +20,19 @@ SIGN_ENUM_CAP = 20
 SIGN_BLOCK_ENTRIES = 8192
 
 
+def _residual_norm(residual, tol):
+    # ‖A‖₂ of a Hermitian residual A, or ‖A‖_F ≥ ‖A‖₂ when that is within tol:
+    # the cheap Frobenius norm settles most residuals with no eigensolve.
+    fro = np.linalg.norm(residual)
+    return fro if fro <= tol else np.abs(np.linalg.eigvalsh(residual)).max()
+
+
 def check_unitary(u, tol=UNITARY_TOL):
     """Validate ‖U†U − I‖₂ ≤ tol and return U as a complex ndarray."""
     a = as_matrix(u)
     if a.shape[0] != a.shape[1]:
         raise ValueError("unitary must be square")
-    dev = op_norm(a.conj().T @ a - np.eye(a.shape[0]))
+    dev = _residual_norm(a.conj().T @ a - np.eye(a.shape[0]), tol)
     if dev > tol:
         raise ValueError(f"matrix is not unitary: ‖U†U−I‖ = {dev:.3e} > {tol:.0e}")
     return a
@@ -63,13 +65,9 @@ class Povm:
             raise ValueError(f"effect has negative eigenvalue {low:.3e}")
         total = stack.sum(axis=0)
         total[np.diag_indices(dim)] -= 1.0
-        # ‖A‖₂ ≤ ‖A‖_F, so the cheap Frobenius norm settles most residuals;
-        # only above the tolerance is the operator norm taken, as the largest
-        # |eigenvalue| of the Hermitian residual.
-        if np.linalg.norm(total) > SUM_TOL:
-            dev = np.abs(np.linalg.eigvalsh(total)).max()
-            if dev > SUM_TOL:
-                raise ValueError(f"effects do not sum to identity: deviation {dev:.3e}")
+        dev = _residual_norm(total, SUM_TOL)
+        if dev > SUM_TOL:
+            raise ValueError(f"effects do not sum to identity: deviation {dev:.3e}")
         self.dim = dim
         self.effects = stack
 

@@ -120,21 +120,27 @@ def _spin_ladder(twice_j):
     return m, np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1)
 
 
-def _small_d(j_plus, beta):
-    # d^j(beta) = exp(-i beta J_y), from the eigenvectors of the tridiagonal
-    # J_y = (J+ - J-)/2i, with J+ from `_spin_ladder`.
-    vals, vecs = np.linalg.eigh((j_plus - j_plus.T) / 2j)
-    return ((vecs * np.exp(-1j * beta * vals)) @ vecs.conj().T).real
+def _coherent_amplitudes(j, v):
+    # W|j,j> for a rotation W with unit first column v: sqrt(C(2j, k)) v0^(2j-k) v1^k
+    # at m = j - k, coupled one spin-1/2 at a time (each step an isometry).
+    c = np.ones(1, dtype=complex)
+    for n in range(1, j.twice_j + 1):
+        w = np.sqrt(np.arange(n + 1) / n)
+        c = v[0] * w[::-1] * np.append(c, 0) + v[1] * w * np.append(0, c)
+    return c
 
 
 def _irrep_from_euler(twice_j, alpha, beta, gamma):
+    # d^j(beta) = exp(-i beta J_y), from the eigenvectors of the tridiagonal
+    # J_y = (J+ - J-)/2i, with J+ from `_spin_ladder`.
     ms, j_plus = _spin_ladder(twice_j)
-    d = _small_d(j_plus, beta)
+    vals, vecs = np.linalg.eigh((j_plus - j_plus.T) / 2j)
+    d = ((vecs * np.exp(-1j * beta * vals)) @ vecs.conj().T).real
     return np.exp(-1j * ms[:, None] * alpha) * d * np.exp(-1j * ms[None, :] * gamma)
 
 
 def irrep_matrix(j, g):
-    """Spin-j rotation matrix of a group element, in the m-descending basis."""
+    """Spin-j rotation, m-descending basis; its column 0 is the coherent-state oracle."""
     j = AngularMomentum.coerce(j)
     return _irrep_from_euler(j.twice_j, *g.euler_angles)
 
@@ -316,8 +322,12 @@ def covariant_qubit_detector(j):
 
 
 def rotated_highest_weight(j, g):
-    """Matched program state W_g |j,j><j,j| W_g† for the covariant detector."""
-    return pure_state(irrep_matrix(j, g)[:, 0])
+    """Matched covariant program W_g|j,j><j,j|W_g†, a spin-coherent state.
+
+    Amplitudes sqrt(C(2j, k)) a^(2j-k) b^k at m = j - k, with (a, b) = g's
+    first column; a phase on (a, b) is a global phase, so it drops out.
+    """
+    return pure_state(_coherent_amplitudes(AngularMomentum.coerce(j), g.matrix[:, 0]))
 
 
 def covariant_target(g):
@@ -325,34 +335,25 @@ def covariant_target(g):
     return observable_from_unitary(g.matrix.conj().T)
 
 
-def matched_fiurasek_rule(n_copies):
-    """Program rule for sharp qubit targets: recover psi, repeat it N times.
-
-    The target's first effect is rank 1, so its top eigenvector is the
-    state the detector should hunt for.
-    """
-
+def _sharp_rule(state):
+    # A sharp target's first effect is rank 1: program its top eigenvector.
     def rule(target):
         _, vecs = herm_eigh(target.effects[0])
-        return fiurasek_program(vecs[:, -1], n_copies)
+        return state(vecs[:, -1])
 
     return rule
+
+
+def matched_fiurasek_rule(n_copies):
+    """Program rule for sharp qubit targets: recover psi, repeat it N times."""
+    return _sharp_rule(lambda psi: fiurasek_program(psi, n_copies))
 
 
 def matched_covariant_rule(j):
     """Program rule for sharp qubit targets at fixed ancilla spin j.
 
-    Completes the target's top eigenvector (a, b) to the special unitary
-    [[a, -b*], [b, a*]] and rotates the highest-weight ancilla state with
-    it. Column phases drop out of both target and programmed POVM, so any
-    completion gives the same accuracy.
+    Programs W|j,j>, amplitudes sqrt(C(2j, k)) a^(2j-k) b^k at m = j - k, for
+    the target's top eigenvector psi = (a, b); psi's phase drops out.
     """
     j = AngularMomentum.coerce(j)
-
-    def rule(target):
-        _, vecs = herm_eigh(target.effects[0])
-        a, b = vecs[0, -1], vecs[1, -1]
-        v = np.array([[a, -np.conj(b)], [b, np.conj(a)]])
-        return rotated_highest_weight(j, GroupElement.from_matrix(v))
-
-    return rule
+    return _sharp_rule(lambda psi: pure_state(_coherent_amplitudes(j, psi)))

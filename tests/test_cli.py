@@ -147,6 +147,19 @@ def test_exact_check_negative_control_rows(runner):
         ["net-scan", "--min-coverage", "1.5"],
         ["net-scan", "--min-coverage", "-0.1"],
         ["net-scan", "--exp-min", "2.7", "--exp-max", "1.3"],
+        *(
+            [*cmd, option, value]
+            for cmd, option in (
+                (["fiurasek-scan", "--n-max", "2"], "--tol"),
+                (["covariant-scan", "--j-max", "2"], "--tol"),
+                (["exact-check", "--pairs", "2"], "--tol"),
+                (["net-scan"], "--eps"),
+                (["net-scan"], "--min-coverage"),
+                (["net-scan"], "--exp-min"),
+                (["net-scan"], "--exp-max"),
+            )
+            for value in ("nan", "inf", "-inf")
+        ),
     ],
 )
 def test_bad_usage_exits_2(runner, args):

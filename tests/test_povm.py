@@ -6,9 +6,11 @@ import pytest
 from povmforge.linalg import CapacityError, Rng, fro_norm, haar_unitary
 from povmforge.povm import (
     SUM_TOL,
+    UNITARY_TOL,
     DensityState,
     Povm,
     born_probabilities,
+    check_unitary,
     distance_bounds,
     maximally_mixed,
     observable_from_unitary,
@@ -158,6 +160,24 @@ def test_observable_effects_are_rank_one_and_complete():
         vals = np.linalg.eigvalsh(e)
         assert vals[-1] == pytest.approx(1.0, abs=1e-10)
         assert abs(vals[-2]) <= 1e-10
+
+
+def test_check_unitary_is_judged_by_operator_norm():
+    # U = diag(sqrt(1 + 0.9·tol)) on dimension 100: U†U − I = 0.9·tol·I has
+    # Frobenius norm 9·tol, past the tolerance, so the eigensolve decides.
+    near = np.eye(100) * np.sqrt(1 + 0.9 * UNITARY_TOL)
+    assert np.linalg.norm(near.conj().T @ near - np.eye(100)) > UNITARY_TOL
+    assert np.array_equal(check_unitary(near), near)
+    far = np.eye(100) * np.sqrt(1 + 1.1 * UNITARY_TOL)
+    with pytest.raises(ValueError, match="not unitary"):
+        check_unitary(far)
+
+
+def test_check_unitary_rejects_malformed_input():
+    with pytest.raises(ValueError, match="square"):
+        check_unitary(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="finite"):
+        check_unitary(np.array([[1.0, 0.0], [0.0, np.nan]]))
 
 
 def test_observable_rejects_nonunitary():

@@ -425,6 +425,33 @@ def test_covariant_detector_matches_coupling_oracle(twice_j):
     assert np.abs(f0 - top.T @ top).max() <= 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("twice_j", [*range(1, 13), 81, 99, 161, 200, 400, 1100])
+def test_coherent_programs_match_irrep_oracle(twice_j):
+    # Identity has b = 0 exactly and beta = pi has a ~ 6e-17, whose powers
+    # underflow; the covariant rule is checked on the same oracle states.
+    j = twice_j / 2
+    rule = matched_covariant_rule(j)
+    rng = Rng(900 + twice_j)
+    elements = [GroupElement.identity(), GroupElement(0.7, math.pi, -0.4),
+                GroupElement.random(rng), GroupElement.random(rng)]
+    for g in elements:
+        c = irrep_matrix(j, g)[:, 0]
+        want = np.outer(c, c.conj())
+        state = rotated_highest_weight(j, g).matrix
+        assert np.abs(state - want).max() <= 1e-12
+        assert abs(np.trace(state) - 1.0) <= 1e-12
+        assert np.abs(rule(covariant_target(g)).matrix - want).max() <= 1e-12
+
+
+def test_covariant_rule_on_exactly_flipped_target():
+    # The target |1><1| has top eigenvector (0, 1) exactly, so a = 0.
+    c = irrep_matrix(3.5, GroupElement(0.0, math.pi, 0.0))[:, 0]
+    target = observable_from_unitary(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    got = matched_covariant_rule(3.5)(target).matrix
+    assert np.abs(got - np.outer(c, c.conj())).max() <= 1e-12
+
+
 def test_covariant_requires_positive_spin():
     with pytest.raises(ValueError):
         covariant_qubit_detector(0)
