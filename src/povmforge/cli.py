@@ -80,10 +80,20 @@ seed_option = click.option(
     envvar="POVMFORGE_SEED",
     help="Random seed (env: POVMFORGE_SEED).",
 )
+
+
+def _check_out_dir(ctx, param, value):
+    # Refuse up front: open() would fail only after the whole computation.
+    if value and not os.path.isdir(os.path.dirname(os.path.abspath(value))):
+        raise click.BadParameter(f"directory of {value} does not exist", ctx, param)
+    return value
+
+
 out_option = click.option(
     "--out",
     type=click.Path(dir_okay=False, writable=True),
     default=None,
+    callback=_check_out_dir,
     help="Output file; stdout when omitted.",
 )
 
@@ -201,6 +211,8 @@ def cmd_net_scan(n, eps_list, budget, samples, exp_min, exp_max, min_coverage,
     """
     if exp_min > exp_max:
         raise click.UsageError(f"empty band: --exp-min {exp_min} > --exp-max {exp_max}")
+    if len(set(eps_list)) < 2:
+        raise click.UsageError("the exponent fit needs at least two distinct --eps values")
     summary_out = os.path.splitext(out)[0] + ".json" if out else None
     if out and summary_out == out:
         raise click.UsageError(f"--out {out} is also the JSON summary's path")

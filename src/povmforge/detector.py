@@ -16,7 +16,7 @@ from .povm import (
     Povm,
     _signed_extremes,
     check_enumerable,
-    check_unitary,
+    observable_from_unitary,
     povm_distance,
 )
 
@@ -90,32 +90,28 @@ def program(f, sigma):
     return Povm(_contract(f.joint.effects, sigma.matrix, f.sys_dim, f.anc_dim))
 
 
-def controlled_unitary_detector(ws, basis=None):
+def controlled_unitary_detector(ws):
     """Detector measuring basis state i after a unitary selected by the ancilla.
 
     The interaction U = Σ_k W_k ⊗ |φ_k⟩⟨φ_k| applies W_k when the ancilla
     sits in computational basis state k; absorbing U into the measurement
-    gives joint effects F_i = U†(|ψ_i⟩⟨ψ_i| ⊗ I)U. Programming with the
-    ancilla state |φ_k⟩⟨φ_k| then reproduces the observable of W_k exactly.
+    gives joint effects F_i = U†(|i⟩⟨i| ⊗ I)U. Programming with the ancilla
+    state |φ_k⟩⟨φ_k| then reproduces the observable of W_k exactly. To
+    measure in another basis B after W_k, pass B†W_k.
     """
-    ws = [check_unitary(w) for w in ws]
-    if not ws:
+    blocks = [observable_from_unitary(w).effects for w in ws]
+    if not blocks:
         raise ValueError("need at least one unitary")
-    n = ws[0].shape[0]
-    for w in ws:
-        if w.shape != (n, n):
-            raise ValueError("all unitaries must share one dimension")
-    d = len(ws)
-    if basis is None:
-        basis = np.eye(n)
-    b = check_unitary(basis)
+    n = blocks[0].shape[0]
+    if any(b.shape != (n, n, n) for b in blocks):
+        raise ValueError("all unitaries must share one dimension")
+    d = len(blocks)
 
     # U is block diagonal in the ancilla basis, so
-    # F_i = Σ_k W_k†|ψ_i⟩⟨ψ_i|W_k ⊗ |k⟩⟨k|: write each block in place.
-    cols = np.einsum("kba,bi->ika", np.conj(ws), b)  # cols[i, k] = W_k†ψ_i
+    # F_i = Σ_k W_k†|i⟩⟨i|W_k ⊗ |k⟩⟨k|: write each block in place.
     joint = np.zeros((n, n, d, n, d), dtype=complex)
     ks = np.arange(d)
-    joint[:, :, ks, :, ks] = np.einsum("ika,ikb->kiab", cols, cols.conj())
+    joint[:, :, ks, :, ks] = blocks
     return Detector(n, d, Povm(joint.reshape(n, n * d, n * d)))
 
 

@@ -128,17 +128,14 @@ def born_probabilities(rho, p):
     return np.einsum("ij,kji->k", rho.matrix, p.effects).real.tolist()
 
 
-def observable_from_unitary(w, basis=None):
-    """Rank-1 projector POVM with effects W†|ψ_i⟩⟨ψ_i|W.
+def observable_from_unitary(w):
+    """Rank-1 projector POVM with effects W†|i⟩⟨i|W.
 
-    `basis` holds the ψ_i as columns; defaults to the computational basis.
+    As W ranges over U(n) these cover every orthonormal measurement basis:
+    the basis B's observable W†|b_i⟩⟨b_i|W is that of B†W.
     """
     w = check_unitary(w)
-    n = w.shape[0]
-    if basis is None:
-        basis = np.eye(n)
-    cols = w.conj().T @ check_unitary(basis)
-    return Povm(np.einsum("ai,bi->iab", cols, cols.conj()))
+    return Povm(np.einsum("ia,ib->iab", w.conj(), w))
 
 
 def _check_comparable(p, q):

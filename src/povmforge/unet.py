@@ -18,21 +18,17 @@ from .linalg import haar_unitary
 from .povm import check_unitary
 
 
-def quotient_distance(w, v, basis=None):
+def quotient_distance(w, v):
     """Frobenius distance minimized over left diagonal phases.
 
-    min_D ‖W − D·V‖_F over D = Σ_i e^{iθ_i}|ψ_i⟩⟨ψ_i|, which separates per
-    basis vector and evaluates in closed form to
-    sqrt(2n − 2 Σ_i |⟨ψ_i| V W† |ψ_i⟩|).
+    min_D ‖W − D·V‖_F over diagonal unitaries D, which separates per basis
+    vector and evaluates in closed form to sqrt(2n − 2 Σ_i |⟨i| V W† |i⟩|).
+    For phases diagonal in another basis B, pass B†W and B†V.
     """
     w = check_unitary(w)
     v = check_unitary(v)
     if w.shape != v.shape:
         raise ValueError(f"dimension mismatch: {w.shape} vs {v.shape}")
-    if basis is not None:
-        # ⟨ψ_i|V W†|ψ_i⟩ is the diagonal of (B†V)(B†W)†.
-        b_dag = check_unitary(basis).conj().T
-        w, v = b_dag @ w, b_dag @ v
     return float(_distances_to_centers(w, v[None])[0])
 
 
@@ -108,11 +104,12 @@ def certify_coverage(net, samples, rng):
     return hits / samples
 
 
-def net_detector(net, basis=None):
-    """Controlled-unitary detector whose program basis enumerates the net."""
-    if len(net) == 0:
-        raise ValueError("net has no centers")
-    return controlled_unitary_detector(list(net.centers), basis=basis)
+def net_detector(net):
+    """Controlled-unitary detector whose program basis enumerates the net.
+
+    For another measurement basis B, pass a net whose centers are B†W_k.
+    """
+    return controlled_unitary_detector(list(net.centers))
 
 
 @dataclass
@@ -138,14 +135,15 @@ def scaling_scan(n, eps_list, budget, rng, samples=1000):
     which unitary closeness controls observable distance). Per-row seeds
     derive deterministically from `rng` so rows are independent and
     replayable. The exponent is the least-squares slope of log(size)
-    against log(1/ε); kappa is the fitted prefactor exp(intercept).
+    against log(1/ε), so it needs at least two distinct ε; kappa is the
+    fitted prefactor exp(intercept).
     """
     eps_list = [float(e) for e in eps_list]
-    if not eps_list:
-        raise ValueError("need at least one epsilon")
     for e in eps_list:
         if not 0 < e <= 2:
             raise ValueError(f"epsilon {e} outside (0, 2]")
+    if len(set(eps_list)) < 2:
+        raise ValueError("the exponent fit needs at least two distinct epsilons")
     rows = []
     scale = math.sqrt(2 * n)
     for i, eps in enumerate(eps_list):
@@ -161,11 +159,7 @@ def scaling_scan(n, eps_list, budget, rng, samples=1000):
                 seed=build_rng.seed,
             )
         )
-    if len(rows) >= 2:
-        x = np.log([1.0 / r.epsilon for r in rows])
-        y = np.log([r.net_size for r in rows])
-        slope, intercept = np.polyfit(x, y, 1)
-        exponent, kappa = float(slope), float(math.exp(intercept))
-    else:
-        exponent, kappa = float("nan"), float("nan")
-    return ScanResult(rows=rows, exponent=exponent, kappa=kappa)
+    x = np.log([1.0 / r.epsilon for r in rows])
+    y = np.log([r.net_size for r in rows])
+    slope, intercept = np.polyfit(x, y, 1)
+    return ScanResult(rows=rows, exponent=float(slope), kappa=float(math.exp(intercept)))

@@ -160,6 +160,9 @@ def test_exact_check_negative_control_rows(runner):
             )
             for value in ("nan", "inf", "-inf")
         ),
+        # The exponent fit needs two distinct accuracies.
+        ["net-scan", "--eps", "0.9"],
+        ["net-scan", "--eps", "0.9", "--eps", "0.9"],
     ],
 )
 def test_bad_usage_exits_2(runner, args):
@@ -224,6 +227,28 @@ def test_distance_bad_input_files_exit_2(runner, tmp_path, case):
     result = runner.invoke(main, ["distance", str(pa), str(pb)])
     assert result.exit_code == 2, result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["fiurasek-scan", "--n-max", "1"],
+        ["covariant-scan", "--j-max", "1"],
+        ["net-scan", "--eps", "1.2", "--eps", "0.9", "--budget", "20",
+         "--samples", "20"],
+        ["exact-check", "--pairs", "1"],
+        ["distance", "a.json", "a.json"],
+    ],
+)
+def test_out_into_missing_directory_exits_2(runner, tmp_path, args):
+    # Refused before computing, rather than failing on open() afterwards.
+    pa = tmp_path / "a.json"
+    save_json(povm_to_json(observable_from_unitary(HADAMARD)), pa)
+    args = [str(pa) if a == "a.json" else a for a in args]
+    out = tmp_path / "missing" / "x.csv"
+    result = runner.invoke(main, [*args, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert list(tmp_path.iterdir()) == [pa]
 
 
 def test_out_file_written(runner, tmp_path):

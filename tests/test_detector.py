@@ -165,7 +165,8 @@ def test_controlled_unitary_matches_dense_interaction(n, d):
     rng = Rng(1200 + 10 * n + d)
     ws = [haar_unitary(n, rng) for _ in range(d)]
     basis = haar_unitary(n, rng)
-    det = controlled_unitary_detector(ws, basis=basis)
+    # Measuring basis B after W_k is the computational observable of B†W_k.
+    det = controlled_unitary_detector([basis.conj().T @ w for w in ws])
     u = np.zeros((n, d, n, d), dtype=complex)
     for k, w in enumerate(ws):
         u[:, k, :, k] = w

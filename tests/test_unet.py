@@ -61,27 +61,36 @@ def test_quotient_distance_with_basis():
     rng = Rng(3)
     w, v = haar_unitary(3, rng), haar_unitary(3, rng)
     b = haar_unitary(3, rng)
-    # Quotienting by phases diagonal in basis b equals rotating into b first.
-    got = quotient_distance(w, v, basis=b)
-    want = quotient_distance(b.conj().T @ w, b.conj().T @ v)
-    assert got == pytest.approx(want, abs=1e-10)
+    # Phases diagonal in basis b, minimized the slow way on the grid of
+    # grid_minimum: B·D_θ·B†·V = Σ_i e^{iθ_i}|b_i⟩⟨b_i|V, with B left in place.
+    phases = np.exp(2j * np.pi * np.arange(64) / 64)
+    terms = [np.outer(b[:, i], b[:, i].conj() @ v) for i in range(3)]
+    want = np.inf
+    for p0 in phases:
+        diff = (w - p0 * terms[0] - phases[:, None, None, None] * terms[1]
+                - phases[None, :, None, None] * terms[2])
+        want = min(want, np.linalg.norm(diff, axis=(2, 3)).min())
+    got = quotient_distance(b.conj().T @ w, b.conj().T @ v)
+    assert got == pytest.approx(want, abs=2e-3)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_quotient_distance_matches_closed_form(n):
     # Squared distance 2n − 2 Σ_i |⟨ψ_i|V W†|ψ_i⟩|, one basis vector at a
-    # time. Squares are compared because at n = 1 the distance is zero and
-    # the square root would turn 1e-16 roundoff into 1e-8.
+    # time; phases diagonal in basis B are passed as B†W and B†V. Squares
+    # are compared because at n = 1 the distance is zero and the square
+    # root would turn 1e-16 roundoff into 1e-8.
     rng = Rng(4)
     for _ in range(5):
         w, v, b = (haar_unitary(n, rng) for _ in range(3))
-        for basis, cols in ((None, np.eye(n)), (b, b)):
+        for cols in (np.eye(n), b):
             overlaps = sum(
                 abs(np.vdot(cols[:, i], v @ w.conj().T @ cols[:, i]))
                 for i in range(n)
             )
             want = max(2 * n - 2 * overlaps, 0.0)
-            assert abs(quotient_distance(w, v, basis=basis) ** 2 - want) <= 1e-12
+            got = quotient_distance(cols.conj().T @ w, cols.conj().T @ v)
+            assert abs(got ** 2 - want) <= 1e-12
 
 
 def test_quotient_distance_shape_error():
@@ -208,3 +217,7 @@ def test_scaling_scan_validation():
         scaling_scan(2, [], 100, Rng(17))
     with pytest.raises(ValueError):
         scaling_scan(2, [2.5], 100, Rng(17))
+    # One distinct epsilon leaves the exponent fit undetermined.
+    for eps_list in ([0.9], [0.9, 0.9]):
+        with pytest.raises(ValueError):
+            scaling_scan(2, eps_list, 100, Rng(17))
