@@ -98,6 +98,10 @@ def controlled_unitary_detector(ws):
     gives joint effects F_i = U†(|i⟩⟨i| ⊗ I)U. Programming with the ancilla
     state |φ_k⟩⟨φ_k| then reproduces the observable of W_k exactly. To
     measure in another basis B after W_k, pass B†W_k.
+
+    The joint is a direct sum of the branch observables, each already
+    validated, so it is positive by construction; only its hermiticity and
+    completeness are re-checked.
     """
     blocks = [observable_from_unitary(w).effects for w in ws]
     if not blocks:
@@ -112,7 +116,8 @@ def controlled_unitary_detector(ws):
     joint = np.zeros((n, n, d, n, d), dtype=complex)
     ks = np.arange(d)
     joint[:, :, ks, :, ks] = blocks
-    return Detector(n, d, Povm(joint.reshape(n, n * d, n * d)))
+    joint = Povm.__new__(Povm)._set(joint.reshape(n, n * d, n * d))
+    return Detector(n, d, joint)
 
 
 def accuracy_for_program(f, target, sigma):

@@ -45,9 +45,21 @@ class Povm:
     Validates hermiticity (1e-10 max-entry), positivity (min eigenvalue
     >= -1e-9, tolerating roundoff from constructions) and completeness
     (effects sum to the identity within 1e-9 in operator norm).
+
+    Projective POVMs built from a factor (:func:`projector_pair`,
+    :func:`observable_from_unitary`, the controlled-unitary detector) check
+    that factor instead of running the positivity eigensolve on the effects;
+    hermiticity and completeness are checked all the same.
     """
 
     def __init__(self, effects):
+        self._set(effects)
+        low = np.linalg.eigvalsh(self.effects)[:, 0].min()
+        if low < -PSD_TOL:
+            raise ValueError(f"effect has negative eigenvalue {low:.3e}")
+
+    def _set(self, effects):
+        """Stack and hermitize `effects`, check completeness, and store them."""
         effects = list(effects)
         if not effects:
             raise ValueError("a POVM needs at least one effect")
@@ -60,9 +72,6 @@ class Povm:
             if e.shape != (dim, dim):
                 raise ValueError("all effects must share one dimension")
             stack[k] = e
-        low = np.linalg.eigvalsh(stack)[:, 0].min()
-        if low < -PSD_TOL:
-            raise ValueError(f"effect has negative eigenvalue {low:.3e}")
         total = stack.sum(axis=0)
         total[np.diag_indices(dim)] -= 1.0
         dev = _residual_norm(total, SUM_TOL)
@@ -70,6 +79,7 @@ class Povm:
             raise ValueError(f"effects do not sum to identity: deviation {dev:.3e}")
         self.dim = dim
         self.effects = stack
+        return self
 
     def __len__(self):
         return len(self.effects)
@@ -128,14 +138,37 @@ def born_probabilities(rho, p):
     return np.einsum("ij,kji->k", rho.matrix, p.effects).real.tolist()
 
 
+def projector_pair(v):
+    """Two-outcome POVM {VV†, I − VV†} of an isometry V with orthonormal columns.
+
+    Positivity is certified from the small Gram matrix instead of the
+    effects: eig(VV†) = eig(V†V) ∪ {0} and eig(I − VV†) = 1 − eig(V†V) ∪ {1},
+    so every eigenvalue of V†V within PSD_TOL of 1 bounds both effects'
+    eigenvalues below by −PSD_TOL. Otherwise raises ValueError.
+    """
+    v = np.asarray(v)
+    if v.ndim != 2 or not np.isfinite(v).all():
+        raise ValueError("isometry must be a finite matrix")
+    # For a real V, V.conj() is V itself: no complex copy is made, and V @ V.T
+    # is bit for bit the symmetric projector a caller forms from the same V.
+    vh = v.conj().T
+    dev = np.abs(np.linalg.eigvalsh(vh @ v) - 1.0).max(initial=0.0)
+    if dev > PSD_TOL:
+        raise ValueError(f"columns are not orthonormal: Gram eigenvalue off 1 by {dev:.3e}")
+    z = v @ vh
+    return Povm.__new__(Povm)._set([z, np.eye(z.shape[0]) - z])
+
+
 def observable_from_unitary(w):
     """Rank-1 projector POVM with effects W†|i⟩⟨i|W.
 
     As W ranges over U(n) these cover every orthonormal measurement basis:
-    the basis B's observable W†|b_i⟩⟨b_i|W is that of B†W.
+    the basis B's observable W†|b_i⟩⟨b_i|W is that of B†W. Each effect is
+    an outer product, PSD by construction, so only hermiticity and
+    completeness are checked on the effects.
     """
     w = check_unitary(w)
-    return Povm(np.einsum("ia,ib->iab", w.conj(), w))
+    return Povm.__new__(Povm)._set(np.einsum("ia,ib->iab", w.conj(), w))
 
 
 def _check_comparable(p, q):

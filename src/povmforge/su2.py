@@ -25,7 +25,13 @@ import numpy as np
 
 from .detector import Detector
 from .linalg import CapacityError, herm_eigh
-from .povm import Povm, check_unitary, observable_from_unitary, pure_state
+from .povm import (
+    Povm,
+    check_unitary,
+    observable_from_unitary,
+    projector_pair,
+    pure_state,
+)
 
 SYMMETRIC_QUBIT_CAP = 12
 FIURASEK_COPY_CAP = SYMMETRIC_QUBIT_CAP - 1
@@ -239,6 +245,15 @@ def coupling_isometry(j1, j2):
     return u
 
 
+def _check_copies(n_copies, least):
+    if n_copies < least:
+        raise ValueError(f"program copy count {n_copies} is below {least}")
+    if n_copies > FIURASEK_COPY_CAP:
+        raise CapacityError(
+            f"{n_copies} copies exceeds the joint-space cap ({FIURASEK_COPY_CAP})"
+        )
+
+
 def dicke_state(num_qubits, num_excited):
     """Equal superposition of all computational states with k qubits set.
 
@@ -247,10 +262,22 @@ def dicke_state(num_qubits, num_excited):
     """
     if not 0 <= num_excited <= num_qubits:
         raise ValueError("excitation count out of range")
+    if num_qubits > SYMMETRIC_QUBIT_CAP:
+        raise CapacityError(
+            f"{num_qubits} qubits exceeds the 2^N memory cap ({SYMMETRIC_QUBIT_CAP})"
+        )
     v = np.zeros(2 ** num_qubits)
     for positions in combinations(range(num_qubits), num_excited):
         v[sum(2 ** (num_qubits - 1 - p) for p in positions)] = 1.0
     return v / np.linalg.norm(v)
+
+
+def _dicke_basis(num_qubits):
+    # The real (2^N, N+1) isometry onto the symmetric subspace, column k
+    # holding k excitations; dicke_state enforces the qubit cap.
+    if num_qubits < 1:
+        raise ValueError("need at least one qubit")
+    return np.column_stack([dicke_state(num_qubits, k) for k in range(num_qubits + 1)])
 
 
 def symmetric_projector(num_qubits):
@@ -260,15 +287,7 @@ def symmetric_projector(num_qubits):
     averaging the N! permutation operators gives the same operator and
     serves as the test oracle for small N.
     """
-    if num_qubits < 1:
-        raise ValueError("need at least one qubit")
-    if num_qubits > SYMMETRIC_QUBIT_CAP:
-        raise CapacityError(
-            f"{num_qubits} qubits exceeds the 2^N memory cap ({SYMMETRIC_QUBIT_CAP})"
-        )
-    basis = np.column_stack(
-        [dicke_state(num_qubits, k) for k in range(num_qubits + 1)]
-    )
+    basis = _dicke_basis(num_qubits)
     return basis @ basis.T
 
 
@@ -281,24 +300,26 @@ def fiurasek_detector(n_copies):
     exactly 2/(N+1) while the ancilla dimension grows as 2^N. This dense
     form is the reference; on the symmetric subspace the N-copy programs
     live in, it equals `covariant_qubit_detector(N/2)`.
+
+    The joint {VV^T, I - VV^T} comes from the Dicke basis V through
+    `projector_pair`, which certifies positivity from the (N+2)^2 Gram
+    matrix V^T V rather than an eigensolve of the two 2^(N+1)-dim effects.
     """
-    if n_copies < 1:
-        raise ValueError("need at least one program copy")
-    if n_copies > FIURASEK_COPY_CAP:
-        raise CapacityError(
-            f"{n_copies} copies exceeds the joint-space cap ({FIURASEK_COPY_CAP})"
-        )
-    z_plus = symmetric_projector(n_copies + 1)
-    joint = Povm([z_plus, np.eye(z_plus.shape[0]) - z_plus])
+    _check_copies(n_copies, 1)
+    joint = projector_pair(_dicke_basis(n_copies + 1))
     return Detector(2, 2 ** n_copies, joint)
 
 
 def fiurasek_program(psi, n_copies):
-    """Matched program state: N copies of |psi><psi|."""
+    """Matched program state: N copies of |psi><psi| (N = 0 gives the 1-dim state)."""
+    _check_copies(n_copies, 0)
     v = np.asarray(psi, dtype=complex).reshape(-1)
     if v.shape != (2,):
         raise ValueError("program vector must be a qubit")
-    v = v / np.linalg.norm(v)
+    nrm = np.linalg.norm(v)
+    if nrm == 0:
+        raise ValueError("cannot normalize the zero vector")
+    v = v / nrm
     return pure_state(reduce(np.kron, [v] * n_copies, np.ones(1)))
 
 
@@ -346,6 +367,7 @@ def _sharp_rule(state):
 
 def matched_fiurasek_rule(n_copies):
     """Program rule for sharp qubit targets: recover psi, repeat it N times."""
+    _check_copies(n_copies, 0)
     return _sharp_rule(lambda psi: fiurasek_program(psi, n_copies))
 
 

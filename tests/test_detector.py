@@ -179,6 +179,19 @@ def test_controlled_unitary_matches_dense_interaction(n, d):
 def test_controlled_unitary_rejects_nonunitary():
     with pytest.raises(ValueError):
         controlled_unitary_detector([np.eye(2), np.diag([1.0, 2.0])])
+    rng = Rng(1310)
+    ws = [haar_unitary(2, rng) for _ in range(3)]
+    ws[1] = ws[1] * (1 + 1e-8)
+    with pytest.raises(ValueError, match="not unitary"):
+        controlled_unitary_detector(ws)
+
+
+@pytest.mark.parametrize("n,d", [(1, 3), (2, 5), (3, 4), (5, 2)])
+def test_controlled_unitary_joint_matches_full_validation(n, d):
+    # The joint skips the positivity eigensolve; full validation agrees bit for bit.
+    rng = Rng(1300 + 10 * n + d)
+    joint = controlled_unitary_detector([haar_unitary(n, rng) for _ in range(d)]).joint
+    assert np.array_equal(joint.effects, Povm(list(joint.effects)).effects)
 
 
 def test_controlled_unitary_rejects_mixed_dims():

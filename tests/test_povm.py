@@ -15,6 +15,7 @@ from povmforge.povm import (
     maximally_mixed,
     observable_from_unitary,
     povm_distance,
+    projector_pair,
     pure_state,
     two_outcome_distance,
 )
@@ -109,6 +110,54 @@ def test_pure_state_normalizes():
     assert np.array_equal(pure_state(v).matrix, DensityState(np.outer(v, v.conj())).matrix)
 
 
+def haar_isometry(dim, cols, rng, real=False):
+    # The first `cols` columns of a Haar unitary, or of a real orthogonal QR.
+    if real:
+        return np.linalg.qr(rng.generator.standard_normal((dim, dim)))[0][:, :cols]
+    return haar_unitary(dim, rng)[:, :cols]
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("dim,cols", [(1, 1), (2, 1), (4, 0), (5, 3), (16, 7), (64, 64)])
+def test_projector_pair_matches_full_validation(dim, cols, real):
+    # The Gram certificate stands in for the effects' eigensolve; the
+    # effects are those of the fully validated constructor, bit for bit.
+    v = haar_isometry(dim, cols, Rng(7000 + dim + cols), real)
+    p = projector_pair(v)
+    z = v @ v.conj().T
+    assert np.array_equal(p.effects, Povm([z, np.eye(dim) - z]).effects)
+    assert np.array_equal(p.effects, Povm(list(p.effects)).effects)
+    assert p.dim == dim and len(p) == 2
+
+
+def test_projector_pair_rejects_non_isometries():
+    v = haar_isometry(8, 3, Rng(41), real=True)
+    scaled = v * (1 + 1e-8)
+    # I − VV† then has eigenvalue −2e-8, so full validation refuses it too.
+    for bad in (scaled, scaled.astype(complex)):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            projector_pair(bad)
+        z = bad @ bad.conj().T
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            Povm([z, np.eye(8) - z])
+    skew = v.copy()
+    skew[:, 1] = (v[:, 0] + v[:, 1]) / np.sqrt(2)  # unit columns, not orthogonal
+    with pytest.raises(ValueError, match="not orthonormal"):
+        projector_pair(skew)
+    with pytest.raises(ValueError):
+        projector_pair(np.full((4, 1), np.nan))
+    with pytest.raises(ValueError):
+        projector_pair(np.ones(4))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+def test_observable_from_unitary_matches_full_validation(n):
+    rng = Rng(7100 + n)
+    for _ in range(10):
+        p = observable_from_unitary(haar_unitary(n, rng))
+        assert np.array_equal(p.effects, Povm(list(p.effects)).effects)
+
+
 def test_born_eigenstate():
     p = observable_from_unitary(np.eye(2))
     probs = born_probabilities(pure_state([1.0, 0.0]), p)
@@ -183,6 +232,9 @@ def test_check_unitary_rejects_malformed_input():
 def test_observable_rejects_nonunitary():
     with pytest.raises(ValueError):
         observable_from_unitary(np.diag([1.0, 0.5]))
+    # Its effects skip the positivity eigensolve, so unitarity must hold.
+    with pytest.raises(ValueError, match="not unitary"):
+        observable_from_unitary(haar_unitary(3, Rng(42)) * (1 + 1e-8))
 
 
 def test_distance_identical_is_zero():

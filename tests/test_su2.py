@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import permutations
 
 import numpy as np
@@ -11,6 +12,8 @@ from povmforge.detector import estimate_accuracy, program
 from povmforge.linalg import CapacityError, Rng, haar_unitary, op_norm, tensor
 from povmforge.povm import Povm, observable_from_unitary, povm_distance
 from povmforge.su2 import (
+    FIURASEK_COPY_CAP,
+    SYMMETRIC_QUBIT_CAP,
     AngularMomentum,
     GroupElement,
     clebsch_gordan,
@@ -236,6 +239,13 @@ def test_dicke_states():
         dicke_state(2, 3)
 
 
+def test_dicke_state_cap():
+    assert np.count_nonzero(dicke_state(SYMMETRIC_QUBIT_CAP, 1)) == SYMMETRIC_QUBIT_CAP
+    for num_qubits, num_excited in ((SYMMETRIC_QUBIT_CAP + 1, 0), (40, 0), (64, 1)):
+        with pytest.raises(CapacityError):
+            dicke_state(num_qubits, num_excited)
+
+
 def test_symmetric_projector_small_cases():
     assert np.abs(symmetric_projector(1) - np.eye(2)).max() <= 1e-12
     z2 = symmetric_projector(2)
@@ -304,11 +314,34 @@ def test_fiurasek_cap():
         fiurasek_detector(12)
 
 
+@pytest.mark.parametrize("n_copies", range(1, 11))
+def test_fiurasek_joint_matches_full_validation(n_copies):
+    # The Gram-certified joint is the fully validated pair on the symmetric
+    # projector, bit for bit.
+    z = symmetric_projector(n_copies + 1)
+    want = Povm([z, np.eye(z.shape[0]) - z]).effects
+    assert np.array_equal(fiurasek_detector(n_copies).joint.effects, want)
+
+
 def test_fiurasek_program_validation():
     with pytest.raises(ValueError):
         fiurasek_program([1.0, 0.0, 0.0], 2)
     sigma = fiurasek_program([0.6, 0.8], 3)
     assert sigma.dim == 8
+
+
+def test_fiurasek_program_rejects_bad_inputs():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for make in (lambda n: fiurasek_program([1.0, 0.0], n), matched_fiurasek_rule):
+            with pytest.raises(ValueError, match="below 0"):
+                make(-3)
+            for n in (FIURASEK_COPY_CAP + 1, 70):
+                with pytest.raises(CapacityError):
+                    make(n)
+        for n in (0, 1, 3):
+            with pytest.raises(ValueError, match="cannot normalize the zero vector"):
+                fiurasek_program([0.0, 0.0], n)
 
 
 @pytest.mark.parametrize("n_copies", [0, 1, 3, 6])

@@ -3,7 +3,7 @@ import pytest
 
 from povmforge.detector import program
 from povmforge.linalg import Rng, haar_unitary
-from povmforge.povm import observable_from_unitary, povm_distance, pure_state
+from povmforge.povm import Povm, observable_from_unitary, povm_distance, pure_state
 from povmforge.unet import (
     UnitaryNet,
     build_net,
@@ -180,6 +180,15 @@ def test_net_detector_reproduces_centers():
         want = observable_from_unitary(net.centers[k])
         for got, exp in zip(out.effects, want.effects):
             assert np.abs(got - exp).max() <= 1e-10
+
+
+def test_qutrit_net_detector_matches_full_validation():
+    # A few hundred qutrit centres: the joint built without the positivity
+    # eigensolve is the fully validated one, bit for bit.
+    net = build_net(3, 1.6 / np.sqrt(6), 5, Rng(11))
+    assert len(net) == 205
+    joint = net_detector(net).joint
+    assert np.array_equal(joint.effects, Povm(list(joint.effects)).effects)
 
 
 def test_net_detector_rejects_empty():
