@@ -26,6 +26,7 @@ from .povm import (
 )
 from .serialize import load_json, matrix_to_json, povm_from_json
 from .su2 import (
+    COVARIANT_TWICE_J_CAP,
     GroupElement,
     covariant_qubit_detector,
     covariant_target,
@@ -170,7 +171,8 @@ def cmd_fiurasek_scan(n_min, n_max, n_targets, tol, seed, out):
 
 
 @main.command("covariant-scan")
-@click.option("--j-max", "twice_j_max", type=click.IntRange(min=1), default=9,
+@click.option("--j-max", "twice_j_max",
+              type=click.IntRange(1, COVARIANT_TWICE_J_CAP), default=9,
               show_default=True, help="Largest ancilla spin, as twice j.")
 @targets_option
 @click.option("--tol", type=_FiniteRange(min=0), default=1e-9, show_default=True)

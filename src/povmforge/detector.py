@@ -14,9 +14,9 @@ import numpy as np
 from .povm import (
     DensityState,
     Povm,
+    _controlled_observable,
     _signed_extremes,
     check_enumerable,
-    observable_from_unitary,
     povm_distance,
 )
 
@@ -95,29 +95,17 @@ def controlled_unitary_detector(ws):
 
     The interaction U = Σ_k W_k ⊗ |φ_k⟩⟨φ_k| applies W_k when the ancilla
     sits in computational basis state k; absorbing U into the measurement
-    gives joint effects F_i = U†(|i⟩⟨i| ⊗ I)U. Programming with the ancilla
-    state |φ_k⟩⟨φ_k| then reproduces the observable of W_k exactly. To
-    measure in another basis B after W_k, pass B†W_k.
+    gives joint effects F_i = U†(|i⟩⟨i| ⊗ I)U = Σ_k W_k†|i⟩⟨i|W_k ⊗ |k⟩⟨k|.
+    Programming with the ancilla state |φ_k⟩⟨φ_k| then reproduces the
+    observable of W_k exactly. To measure in another basis B after W_k, pass
+    B†W_k.
 
-    The joint is a direct sum of the branch observables, each already
-    validated, so it is positive by construction; only its hermiticity and
-    completeness are re-checked.
+    The joint is built once from the validated unitaries, which certify its
+    positivity; :func:`observable_from_unitary` is its one-branch case.
     """
-    blocks = [observable_from_unitary(w).effects for w in ws]
-    if not blocks:
-        raise ValueError("need at least one unitary")
-    n = blocks[0].shape[0]
-    if any(b.shape != (n, n, n) for b in blocks):
-        raise ValueError("all unitaries must share one dimension")
-    d = len(blocks)
-
-    # U is block diagonal in the ancilla basis, so
-    # F_i = Σ_k W_k†|i⟩⟨i|W_k ⊗ |k⟩⟨k|: write each block in place.
-    joint = np.zeros((n, n, d, n, d), dtype=complex)
-    ks = np.arange(d)
-    joint[:, :, ks, :, ks] = blocks
-    joint = Povm.__new__(Povm)._set(joint.reshape(n, n * d, n * d))
-    return Detector(n, d, joint)
+    joint = _controlled_observable(ws)
+    n = len(joint)
+    return Detector(n, joint.dim // n, joint)
 
 
 def accuracy_for_program(f, target, sigma):

@@ -65,8 +65,8 @@ def partial_trace_ancilla(m, n, d):
     return np.einsum("iaja->ij", a.reshape(n, d, n, d))
 
 
-def check_hermitian(m, tol=HERM_TOL):
-    """Validate hermiticity within `tol` (max-entry) and return (m+m†)/2.
+def check_hermitian(m):
+    """Validate hermiticity within HERM_TOL (max-entry) and return (m+m†)/2.
 
     Symmetrizing keeps downstream eigensolves and positivity checks stable
     when the input carries roundoff from matrix products.
@@ -75,8 +75,8 @@ def check_hermitian(m, tol=HERM_TOL):
     if a.shape[0] != a.shape[1]:
         raise ValueError("hermitian check requires a square matrix")
     dev = np.abs(a - a.conj().T).max() if a.size else 0.0
-    if dev > tol:
-        raise ValueError(f"matrix is not hermitian: max deviation {dev:.3e} > {tol:.0e}")
+    if dev > HERM_TOL:
+        raise ValueError(f"matrix is not hermitian: max deviation {dev:.3e} > {HERM_TOL:.0e}")
     return (a + a.conj().T) / 2
 
 

@@ -27,14 +27,14 @@ def _residual_norm(residual, tol):
     return fro if fro <= tol else np.abs(np.linalg.eigvalsh(residual)).max()
 
 
-def check_unitary(u, tol=UNITARY_TOL):
-    """Validate ‖U†U − I‖₂ ≤ tol and return U as a complex ndarray."""
+def check_unitary(u):
+    """Validate ‖U†U − I‖₂ ≤ UNITARY_TOL and return U as a complex ndarray."""
     a = as_matrix(u)
     if a.shape[0] != a.shape[1]:
         raise ValueError("unitary must be square")
-    dev = _residual_norm(a.conj().T @ a - np.eye(a.shape[0]), tol)
-    if dev > tol:
-        raise ValueError(f"matrix is not unitary: ‖U†U−I‖ = {dev:.3e} > {tol:.0e}")
+    dev = _residual_norm(a.conj().T @ a - np.eye(a.shape[0]), UNITARY_TOL)
+    if dev > UNITARY_TOL:
+        raise ValueError(f"matrix is not unitary: ‖U†U−I‖ = {dev:.3e} > {UNITARY_TOL:.0e}")
     return a
 
 
@@ -46,9 +46,10 @@ class Povm:
     >= -1e-9, tolerating roundoff from constructions) and completeness
     (effects sum to the identity within 1e-9 in operator norm).
 
-    Projective POVMs built from a factor (:func:`projector_pair`,
-    :func:`observable_from_unitary`, the controlled-unitary detector) check
-    that factor instead of running the positivity eigensolve on the effects;
+    Projective POVMs built from a factor (:func:`projector_pair` from an
+    isometry; the controlled-unitary joint, built once from its unitaries,
+    and its one-branch case :func:`observable_from_unitary`) check that
+    factor instead of running the positivity eigensolve on the effects;
     hermiticity and completeness are checked all the same.
     """
 
@@ -159,16 +160,39 @@ def projector_pair(v):
     return Povm.__new__(Povm)._set([z, np.eye(z.shape[0]) - z])
 
 
+def _controlled_observable(ws):
+    """Joint POVM F_i = Σ_k W_k†|i⟩⟨i|W_k ⊗ |k⟩⟨k| of d unitaries, as (n, nd, nd).
+
+    Each block is an outer product of rows of a unitary that check_unitary
+    accepted, so F is positive by construction. Its hermiticity and
+    completeness checks are exactly the per-block ones: the blocks off the
+    diagonal are exact zeros, so the completeness residual is the direct sum
+    of the block residuals and its ‖·‖₂ is the largest block's.
+    """
+    ws = [check_unitary(w) for w in ws]
+    if not ws:
+        raise ValueError("need at least one unitary")
+    n = ws[0].shape[0]
+    if any(w.shape != (n, n) for w in ws):
+        raise ValueError("all unitaries must share one dimension")
+    ws = np.stack(ws)
+    d = len(ws)
+    joint = np.zeros((n, n, d, n, d), dtype=complex)
+    ks = np.arange(d)
+    joint[:, :, ks, :, ks] = np.einsum("kia,kib->kiab", ws.conj(), ws)
+    return Povm.__new__(Povm)._set(joint.reshape(n, n * d, n * d))
+
+
 def observable_from_unitary(w):
     """Rank-1 projector POVM with effects W†|i⟩⟨i|W.
 
     As W ranges over U(n) these cover every orthonormal measurement basis:
-    the basis B's observable W†|b_i⟩⟨b_i|W is that of B†W. Each effect is
-    an outer product, PSD by construction, so only hermiticity and
-    completeness are checked on the effects.
+    the basis B's observable W†|b_i⟩⟨b_i|W is that of B†W. It is the
+    one-branch controlled-unitary joint: each effect is an outer product,
+    PSD by construction, so only hermiticity and completeness are checked on
+    the effects.
     """
-    w = check_unitary(w)
-    return Povm.__new__(Povm)._set(np.einsum("ia,ib->iab", w.conj(), w))
+    return _controlled_observable([w])
 
 
 def _check_comparable(p, q):

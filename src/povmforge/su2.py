@@ -35,6 +35,9 @@ from .povm import (
 
 SYMMETRIC_QUBIT_CAP = 12
 FIURASEK_COPY_CAP = SYMMETRIC_QUBIT_CAP - 1
+# Largest 2j whose dense covariant joint, of dimension 2(2j+1), fits in the
+# 2^SYMMETRIC_QUBIT_CAP = 4096 dimensions the Fiurasek reference may hold.
+COVARIANT_TWICE_J_CAP = 2 ** (SYMMETRIC_QUBIT_CAP - 1) - 1
 
 
 @dataclass(frozen=True)
@@ -330,11 +333,16 @@ def covariant_qubit_detector(j):
     P+ = ((j+1) I + 2 S.J)/(2j+1), where in the product basis, system major,
     2 S.J = sigma_z x J_z + |0><1| x J_- + |1><0| x J_+. S.J commutes with
     the joint rotation U_g x W_g, and so does P+, which forces the
-    programmed POVM into covariant form. Ancilla dimension is 2j+1.
+    programmed POVM into covariant form. Ancilla dimension is 2j+1, with 2j
+    at most COVARIANT_TWICE_J_CAP = 2047.
     """
     j = AngularMomentum.coerce(j)
     if j.twice_j < 1:
         raise ValueError("need twice_j >= 1")
+    if j.twice_j > COVARIANT_TWICE_J_CAP:
+        raise CapacityError(
+            f"twice_j {j.twice_j} exceeds the joint-space cap ({COVARIANT_TWICE_J_CAP})"
+        )
     m, jp = _spin_ladder(j.twice_j)
     a = (j.j + 1) * np.eye(j.dim)
     f0 = np.block([[a + np.diag(m), jp.T], [jp, a - np.diag(m)]]) / (j.twice_j + 1)

@@ -57,6 +57,8 @@ class UnitaryNet:
         self.centers = np.asarray(self.centers, dtype=complex)
         if self.centers.ndim != 3 or self.centers.shape[1:] != (self.dim, self.dim):
             raise ValueError("centers must be a (k, dim, dim) array")
+        if not math.isfinite(self.radius):
+            raise ValueError("radius must be finite")
         for c in self.centers:
             check_unitary(c)
 
@@ -72,8 +74,8 @@ def build_net(n, radius, budget, rng):
     packing at radius r is automatically an r-covering; coverage is still
     certified separately rather than assumed.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ValueError("radius must be positive and finite")
     if budget < 1:
         raise ValueError("budget must be at least 1")
     centers = np.zeros((0, n, n), dtype=complex)
@@ -138,6 +140,8 @@ def scaling_scan(n, eps_list, budget, rng, samples=1000):
     against log(1/ε), so it needs at least two distinct ε; kappa is the
     fitted prefactor exp(intercept).
     """
+    if n < 1:
+        raise ValueError("dimension must be positive")
     eps_list = [float(e) for e in eps_list]
     for e in eps_list:
         if not 0 < e <= 2:

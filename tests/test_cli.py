@@ -7,6 +7,7 @@ from click.testing import CliRunner
 from povmforge.cli import main
 from povmforge.povm import Povm, observable_from_unitary
 from povmforge.serialize import povm_to_json, save_json
+from povmforge.su2 import COVARIANT_TWICE_J_CAP
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
 
@@ -163,6 +164,8 @@ def test_exact_check_negative_control_rows(runner):
         # The exponent fit needs two distinct accuracies.
         ["net-scan", "--eps", "0.9"],
         ["net-scan", "--eps", "0.9", "--eps", "0.9"],
+        # Beyond the covariant detector's joint-space cap.
+        ["covariant-scan", "--j-max", str(COVARIANT_TWICE_J_CAP + 1)],
     ],
 )
 def test_bad_usage_exits_2(runner, args):

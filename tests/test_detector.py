@@ -195,8 +195,46 @@ def test_controlled_unitary_joint_matches_full_validation(n, d):
 
 
 def test_controlled_unitary_rejects_mixed_dims():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="share one dimension"):
         controlled_unitary_detector([np.eye(2), np.eye(3)])
+
+
+def test_controlled_unitary_rejects_empty():
+    with pytest.raises(ValueError, match="at least one unitary"):
+        controlled_unitary_detector([])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_observable_is_the_one_branch_detector(n):
+    w = haar_unitary(n, Rng(1400 + n))
+    det = controlled_unitary_detector([w])
+    assert (det.sys_dim, det.anc_dim) == (n, 1)
+    assert np.array_equal(observable_from_unitary(w).effects, det.joint.effects)
+
+
+@pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (2, 4), (3, 4)])
+def test_controlled_unitary_blocks_are_the_branch_observables(n, d):
+    rng = Rng(1500 + 10 * n + d)
+    ws = [haar_unitary(n, rng) for _ in range(d)]
+    joint = controlled_unitary_detector(ws).joint.effects.reshape(n, n, d, n, d)
+    for k, w in enumerate(ws):
+        assert np.array_equal(joint[:, :, k, :, k], observable_from_unitary(w).effects)
+        off = np.delete(joint[:, :, k], k, axis=-1)
+        assert not off.any()
+
+
+def test_controlled_unitary_builds_one_povm(monkeypatch):
+    built = []
+    set_effects = Povm._set
+
+    def counting_set(self, effects):
+        built.append(self)
+        return set_effects(self, effects)
+
+    monkeypatch.setattr(Povm, "_set", counting_set)
+    rng = Rng(1600)
+    det = controlled_unitary_detector([haar_unitary(3, rng) for _ in range(4)])
+    assert built == [det.joint]
 
 
 def test_accuracy_for_matching_program_is_zero():

@@ -87,6 +87,10 @@ def test_net_round_trip():
 def test_net_rejects_malformed():
     with pytest.raises(ValueError, match="centers"):
         net_from_json({"dim": 2, "radius": 0.5, "seed": 1, "centers": 5})
+    obj = net_to_json(build_net(2, 0.8, 20, Rng(4)))
+    for radius in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="radius"):
+            net_from_json({**obj, "radius": radius})
 
 
 def test_file_round_trip(tmp_path):

@@ -12,6 +12,7 @@ from povmforge.detector import estimate_accuracy, program
 from povmforge.linalg import CapacityError, Rng, haar_unitary, op_norm, tensor
 from povmforge.povm import Povm, observable_from_unitary, povm_distance
 from povmforge.su2 import (
+    COVARIANT_TWICE_J_CAP,
     FIURASEK_COPY_CAP,
     SYMMETRIC_QUBIT_CAP,
     AngularMomentum,
@@ -312,6 +313,15 @@ def test_fiurasek_accuracy_and_dimension_identity():
 def test_fiurasek_cap():
     with pytest.raises(CapacityError):
         fiurasek_detector(12)
+
+
+def test_covariant_cap():
+    # The covariant joint, 2(2j+1)-dimensional, may not outgrow the
+    # 2^SYMMETRIC_QUBIT_CAP-dimensional joint the Fiurasek reference allows.
+    assert 2 * (COVARIANT_TWICE_J_CAP + 1) == 2 ** SYMMETRIC_QUBIT_CAP
+    for twice_j in (COVARIANT_TWICE_J_CAP + 1, 2 * 10**6):
+        with pytest.raises(CapacityError, match="cap"):
+            covariant_qubit_detector(twice_j / 2)
 
 
 @pytest.mark.parametrize("n_copies", range(1, 11))

@@ -135,11 +135,26 @@ def test_build_net_validation():
         build_net(2, 0.5, 0, Rng(8))
 
 
+@pytest.mark.parametrize("radius", [float("nan"), float("inf"), float("-inf")])
+def test_build_net_rejects_nonfinite_radius_before_drawing(radius):
+    rng = Rng(1)
+    before = rng.generator.bit_generator.state
+    with pytest.raises(ValueError, match="radius"):
+        build_net(2, radius, 5, rng)
+    assert rng.generator.bit_generator.state == before
+
+
 def test_unitary_net_validates_centers():
     with pytest.raises(ValueError):
         UnitaryNet(dim=2, radius=0.5, centers=np.zeros((1, 2, 2)), seed=0)
     with pytest.raises(ValueError):
         UnitaryNet(dim=2, radius=0.5, centers=np.eye(2), seed=0)
+
+
+@pytest.mark.parametrize("radius", [float("nan"), float("inf"), float("-inf")])
+def test_unitary_net_rejects_nonfinite_radius(radius):
+    with pytest.raises(ValueError, match="radius must be finite"):
+        UnitaryNet(dim=2, radius=radius, centers=np.eye(2)[None], seed=0)
 
 
 def test_certify_single_center():
@@ -230,3 +245,7 @@ def test_scaling_scan_validation():
     for eps_list in ([0.9], [0.9, 0.9]):
         with pytest.raises(ValueError):
             scaling_scan(2, eps_list, 100, Rng(17))
+    # Refused up front, not a ZeroDivisionError from eps / sqrt(2n).
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="dimension"):
+            scaling_scan(n, [1.0, 0.5], 5, Rng(1))
