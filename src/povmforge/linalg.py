@@ -72,9 +72,9 @@ def check_hermitian(m):
     when the input carries roundoff from matrix products.
     """
     a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("hermitian check requires a square matrix")
-    dev = np.abs(a - a.conj().T).max() if a.size else 0.0
+    if a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError("hermitian check requires a nonempty square matrix")
+    dev = np.abs(a - a.conj().T).max()
     if dev > HERM_TOL:
         raise ValueError(f"matrix is not hermitian: max deviation {dev:.3e} > {HERM_TOL:.0e}")
     return (a + a.conj().T) / 2

@@ -47,10 +47,10 @@ class Povm:
     (effects sum to the identity within 1e-9 in operator norm).
 
     Projective POVMs built from a factor (:func:`projector_pair` from an
-    isometry; the controlled-unitary joint, built once from its unitaries,
-    and its one-branch case :func:`observable_from_unitary`) check that
-    factor instead of running the positivity eigensolve on the effects;
-    hermiticity and completeness are checked all the same.
+    isometry, as both SU(2) detectors are; the controlled-unitary joint and
+    its one-branch case :func:`observable_from_unitary`, from unitaries)
+    check that factor instead of running the positivity eigensolve on the
+    effects; hermiticity and completeness are checked all the same.
     """
 
     def __init__(self, effects):
@@ -118,6 +118,8 @@ class DensityState:
 def pure_state(vector):
     """Rank-1 density matrix |v⟩⟨v| from a (normalized) vector."""
     v = np.asarray(vector, dtype=complex).reshape(-1)
+    if not np.isfinite(v).all():
+        raise ValueError("vector entries must be finite")
     nrm = np.linalg.norm(v)
     if nrm == 0:
         raise ValueError("cannot normalize the zero vector")
@@ -129,6 +131,8 @@ def pure_state(vector):
 
 
 def maximally_mixed(n):
+    if n < 1:
+        raise ValueError("dimension must be positive")
     return DensityState(np.eye(n) / n)
 
 
@@ -238,7 +242,8 @@ def _signed_extremes(deltas):
         signs[:, 1:] -= 2 * ((index[:, None] >> shifts) & 1)
         sums = (signs @ flat).view(complex).reshape(m, len(index), n, n)
         vals = np.linalg.eigvalsh(sums)
-        score = np.maximum(vals[..., -1], -vals[..., 0])
+        # + 0.0 turns a zero spectrum's −0.0 score into +0.0 and moves no other bit.
+        score = np.maximum(vals[..., -1], -vals[..., 0]) + 0.0
         top = score.argmax(axis=1)
         value = score[np.arange(m), top]
         better = value > best

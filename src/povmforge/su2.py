@@ -25,13 +25,7 @@ import numpy as np
 
 from .detector import Detector
 from .linalg import CapacityError, herm_eigh
-from .povm import (
-    Povm,
-    check_unitary,
-    observable_from_unitary,
-    projector_pair,
-    pure_state,
-)
+from .povm import check_unitary, observable_from_unitary, projector_pair, pure_state
 
 SYMMETRIC_QUBIT_CAP = 12
 FIURASEK_COPY_CAP = SYMMETRIC_QUBIT_CAP - 1
@@ -83,6 +77,8 @@ class GroupElement:
 
     def __init__(self, alpha, beta, gamma):
         self.euler_angles = (float(alpha), float(beta), float(gamma))
+        if not all(map(math.isfinite, self.euler_angles)):
+            raise ValueError("Euler angles must be finite")
         self.matrix = _irrep_from_euler(1, *self.euler_angles)
 
     @classmethod
@@ -121,14 +117,6 @@ def compose(g, h):
     return GroupElement.from_matrix(g.matrix @ h.matrix)
 
 
-def _spin_ladder(twice_j):
-    # The m-descending basis m = j, ..., -j and J+ in it; Condon-Shortley
-    # phases make <m+1|J+|m> = sqrt(j(j+1) - m(m+1)) positive.
-    j = twice_j / 2.0
-    m = np.arange(twice_j, -twice_j - 1, -2) / 2.0
-    return m, np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1)
-
-
 def _coherent_amplitudes(j, v):
     # W|j,j> for a rotation W with unit first column v: sqrt(C(2j, k)) v0^(2j-k) v1^k
     # at m = j - k, coupled one spin-1/2 at a time (each step an isometry).
@@ -140,9 +128,11 @@ def _coherent_amplitudes(j, v):
 
 
 def _irrep_from_euler(twice_j, alpha, beta, gamma):
-    # d^j(beta) = exp(-i beta J_y), from the eigenvectors of the tridiagonal
-    # J_y = (J+ - J-)/2i, with J+ from `_spin_ladder`.
-    ms, j_plus = _spin_ladder(twice_j)
+    # d^j(beta) = exp(-i beta J_y), from the eigenvectors of J_y = (J+ - J-)/2i
+    # at m = j, ..., -j; Condon-Shortley makes <m+1|J+|m> = sqrt(j(j+1) - m(m+1)).
+    j = twice_j / 2.0
+    ms = np.arange(twice_j, -twice_j - 1, -2) / 2.0
+    j_plus = np.diag(np.sqrt(j * (j + 1) - ms[1:] * (ms[1:] + 1)), 1)
     vals, vecs = np.linalg.eigh((j_plus - j_plus.T) / 2j)
     d = ((vecs * np.exp(-1j * beta * vals)) @ vecs.conj().T).real
     return np.exp(-1j * ms[:, None] * alpha) * d * np.exp(-1j * ms[None, :] * gamma)
@@ -317,8 +307,8 @@ def fiurasek_program(psi, n_copies):
     """Matched program state: N copies of |psi><psi| (N = 0 gives the 1-dim state)."""
     _check_copies(n_copies, 0)
     v = np.asarray(psi, dtype=complex).reshape(-1)
-    if v.shape != (2,):
-        raise ValueError("program vector must be a qubit")
+    if v.shape != (2,) or not np.isfinite(v).all():
+        raise ValueError("program vector must be a finite qubit")
     nrm = np.linalg.norm(v)
     if nrm == 0:
         raise ValueError("cannot normalize the zero vector")
@@ -330,11 +320,12 @@ def covariant_qubit_detector(j):
     """Two-outcome detector from the 1/2 x j angular momentum coupling.
 
     The first outcome projects onto the j+ = j + 1/2 irreducible block,
-    P+ = ((j+1) I + 2 S.J)/(2j+1), where in the product basis, system major,
-    2 S.J = sigma_z x J_z + |0><1| x J_- + |1><0| x J_+. S.J commutes with
-    the joint rotation U_g x W_g, and so does P+, which forces the
-    programmed POVM into covariant form. Ancilla dimension is 2j+1, with 2j
-    at most COVARIANT_TWICE_J_CAP = 2047.
+    P+ = ((j+1) I + 2 S.J)/(2j+1), which commutes with the joint rotation
+    U_g x W_g and so forces the programmed POVM into covariant form. As in
+    `fiurasek_detector`, the joint is `projector_pair` of the real (2n, n+1)
+    isometry V onto that block, n = 2j+1 the ancilla dimension (2j at most
+    COVARIANT_TWICE_J_CAP = 2047): system major, its column k is the top-J
+    Clebsch-Gordan state sqrt((n-k)/n)|0>|k> + sqrt(k/n)|1>|k-1>.
     """
     j = AngularMomentum.coerce(j)
     if j.twice_j < 1:
@@ -343,11 +334,10 @@ def covariant_qubit_detector(j):
         raise CapacityError(
             f"twice_j {j.twice_j} exceeds the joint-space cap ({COVARIANT_TWICE_J_CAP})"
         )
-    m, jp = _spin_ladder(j.twice_j)
-    a = (j.j + 1) * np.eye(j.dim)
-    f0 = np.block([[a + np.diag(m), jp.T], [jp, a - np.diag(m)]]) / (j.twice_j + 1)
-    joint = Povm([f0, np.eye(2 * j.dim) - f0])
-    return Detector(2, j.dim, joint)
+    n = j.dim
+    w = np.sqrt(np.arange(n + 1) / n)
+    v = np.vstack([np.eye(n, n + 1) * w[::-1], np.eye(n, n + 1, 1) * w])
+    return Detector(2, n, projector_pair(v))
 
 
 def rotated_highest_weight(j, g):

@@ -57,8 +57,8 @@ class UnitaryNet:
         self.centers = np.asarray(self.centers, dtype=complex)
         if self.centers.ndim != 3 or self.centers.shape[1:] != (self.dim, self.dim):
             raise ValueError("centers must be a (k, dim, dim) array")
-        if not math.isfinite(self.radius):
-            raise ValueError("radius must be finite")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("radius must be positive and finite")
         for c in self.centers:
             check_unitary(c)
 
@@ -148,6 +148,8 @@ def scaling_scan(n, eps_list, budget, rng, samples=1000):
             raise ValueError(f"epsilon {e} outside (0, 2]")
     if len(set(eps_list)) < 2:
         raise ValueError("the exponent fit needs at least two distinct epsilons")
+    if samples < 1:
+        raise ValueError("need at least one sample")
     rows = []
     scale = math.sqrt(2 * n)
     for i, eps in enumerate(eps_list):

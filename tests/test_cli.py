@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -198,7 +199,8 @@ def test_distance_identical_files(runner, tmp_path):
     save_json(povm_to_json(observable_from_unitary(HADAMARD)), pa)
     result = runner.invoke(main, ["distance", str(pa), str(pa)])
     payload = json.loads(result.output)
-    assert payload["delta"] <= 1e-12
+    assert payload["delta"] == 0.0 and math.copysign(1.0, payload["delta"]) == 1.0
+    assert '"delta": 0.0,' in result.output
 
 
 def _povm_file(path, effects):

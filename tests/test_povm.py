@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -108,6 +109,22 @@ def test_pure_state_normalizes():
     v = haar_unitary(5, Rng(6))[:, 0]
     v = v / np.linalg.norm(v)
     assert np.array_equal(pure_state(v).matrix, DensityState(np.outer(v, v.conj())).matrix)
+
+
+def test_empty_inputs_are_refused():
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        maximally_mixed(0)
+    with pytest.raises(ValueError, match="nonempty square"):
+        DensityState(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="nonempty square"):
+        Povm([np.zeros((0, 0))])
+
+
+@pytest.mark.parametrize("vector", [[np.inf, 0.0], [np.nan, 1.0], [1.0, -np.inf]])
+def test_pure_state_refuses_nonfinite_entries(vector):
+    # Refused before the normalization divides by an infinite or NaN norm.
+    with pytest.raises(ValueError, match="must be finite"):
+        pure_state(vector)
 
 
 def haar_isometry(dim, cols, rng, real=False):
@@ -240,6 +257,14 @@ def test_observable_rejects_nonunitary():
 def test_distance_identical_is_zero():
     p = observable_from_unitary(haar_unitary(3, Rng(55)))
     assert povm_distance(p, p) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_distance_identical_is_positive_zero(k):
+    # Every signed sum is the zero matrix, whose −(lowest eigenvalue) is −0.0.
+    p = random_povm(2, k, Rng(70 + k))
+    d = povm_distance(p, p)
+    assert d == 0.0 and math.copysign(1.0, d) == 1.0
 
 
 def bloch_grid_distance(p, q, steps=100):

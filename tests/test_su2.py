@@ -94,6 +94,12 @@ def test_group_element_rejects_non_special():
         GroupElement.from_matrix(np.diag([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("angles", [(math.inf, 0, 0), (0, math.nan, 0), (0, 0, -math.inf)])
+def test_group_element_refuses_nonfinite_angles(angles):
+    with pytest.raises(ValueError, match="Euler angles must be finite"):
+        GroupElement(*angles)
+
+
 def test_beta_rotation_matrix():
     g = GroupElement(0.0, 0.7, 0.0)
     c, s = math.cos(0.35), math.sin(0.35)
@@ -352,6 +358,10 @@ def test_fiurasek_program_rejects_bad_inputs():
         for n in (0, 1, 3):
             with pytest.raises(ValueError, match="cannot normalize the zero vector"):
                 fiurasek_program([0.0, 0.0], n)
+            # Refused before the normalization divides by a non-finite norm.
+            for psi in ([math.inf, 0.0], [math.nan, 1.0]):
+                with pytest.raises(ValueError, match="finite qubit"):
+                    fiurasek_program(psi, n)
 
 
 @pytest.mark.parametrize("n_copies", [0, 1, 3, 6])
@@ -462,10 +472,19 @@ def test_covariant_accuracy_at_large_spin():
 
 @pytest.mark.parametrize("twice_j", [*range(1, 13), 81, 99, 161, 200])
 def test_covariant_detector_matches_coupling_oracle(twice_j):
-    # The closed-form j+ projector against the Clebsch-Gordan one.
+    # The projector of the explicit coupled isometry against the one Racah's
+    # formula gives.
     top = coupling_isometry(0.5, twice_j / 2)[: twice_j + 2]
     f0 = covariant_qubit_detector(twice_j / 2).joint.effects[0]
     assert np.abs(f0 - top.T @ top).max() <= 1e-12
+
+
+@pytest.mark.parametrize("twice_j", [*range(1, 13), 81, 200])
+def test_covariant_joint_matches_full_validation(twice_j):
+    # The Gram-certified joint passes the full check, positivity eigensolve
+    # included, and comes back bit for bit.
+    joint = covariant_qubit_detector(twice_j / 2).joint
+    assert np.array_equal(Povm(list(joint.effects)).effects, joint.effects)
 
 
 @pytest.mark.filterwarnings("error")

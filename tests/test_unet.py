@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from povmforge import unet
 from povmforge.detector import program
 from povmforge.linalg import Rng, haar_unitary
 from povmforge.povm import Povm, observable_from_unitary, povm_distance, pure_state
@@ -153,7 +154,13 @@ def test_unitary_net_validates_centers():
 
 @pytest.mark.parametrize("radius", [float("nan"), float("inf"), float("-inf")])
 def test_unitary_net_rejects_nonfinite_radius(radius):
-    with pytest.raises(ValueError, match="radius must be finite"):
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        UnitaryNet(dim=2, radius=radius, centers=np.eye(2)[None], seed=0)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0])
+def test_unitary_net_rejects_nonpositive_radius(radius):
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
         UnitaryNet(dim=2, radius=radius, centers=np.eye(2)[None], seed=0)
 
 
@@ -249,3 +256,13 @@ def test_scaling_scan_validation():
     for n in (0, -1):
         with pytest.raises(ValueError, match="dimension"):
             scaling_scan(n, [1.0, 0.5], 5, Rng(1))
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_scaling_scan_refuses_no_samples_before_building(monkeypatch, samples):
+    def reached(*args):
+        raise AssertionError("build_net ran before samples were checked")
+
+    monkeypatch.setattr(unet, "build_net", reached)
+    with pytest.raises(ValueError, match="at least one sample"):
+        scaling_scan(2, [0.5, 0.4], 100, Rng(1), samples=samples)
