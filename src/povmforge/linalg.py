@@ -85,11 +85,6 @@ def herm_eigs(m):
     return np.linalg.eigvalsh(check_hermitian(m))
 
 
-def herm_eigh(m):
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix."""
-    return np.linalg.eigh(check_hermitian(m))
-
-
 def op_norm(m):
     """Largest singular value."""
     a = as_matrix(m)

@@ -30,8 +30,8 @@ def _residual_norm(residual, tol):
 def check_unitary(u):
     """Validate ‖U†U − I‖₂ ≤ UNITARY_TOL and return U as a complex ndarray."""
     a = as_matrix(u)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("unitary must be square")
+    if a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError("unitary must be a nonempty square matrix")
     dev = _residual_norm(a.conj().T @ a - np.eye(a.shape[0]), UNITARY_TOL)
     if dev > UNITARY_TOL:
         raise ValueError(f"matrix is not unitary: ‖U†U−I‖ = {dev:.3e} > {UNITARY_TOL:.0e}")
@@ -42,25 +42,15 @@ class Povm:
     """Positive operator-valued measure on a finite dimension.
 
     `effects` is a complex (k, n, n) array, effect i at `effects[i]`.
-    Validates hermiticity (1e-10 max-entry), positivity (min eigenvalue
-    >= -1e-9, tolerating roundoff from constructions) and completeness
-    (effects sum to the identity within 1e-9 in operator norm).
-
-    Projective POVMs built from a factor (:func:`projector_pair` from an
-    isometry, as both SU(2) detectors are; the controlled-unitary joint and
-    its one-branch case :func:`observable_from_unitary`, from unitaries)
-    check that factor instead of running the positivity eigensolve on the
-    effects; hermiticity and completeness are checked all the same.
+    `Povm(effects)` validates outside input: each effect is checked Hermitian
+    (1e-10 max-entry) and symmetrized into the stack, which is then checked
+    for completeness (sum to I within 1e-9 in operator norm) and positivity
+    (min eigenvalue >= -1e-9). `_set(stack)` stores, uncopied and after the
+    completeness check alone, a stack the package built from a checked factor
+    (:func:`projector_pair`, the controlled-unitary joint and its one branch).
     """
 
     def __init__(self, effects):
-        self._set(effects)
-        low = np.linalg.eigvalsh(self.effects)[:, 0].min()
-        if low < -PSD_TOL:
-            raise ValueError(f"effect has negative eigenvalue {low:.3e}")
-
-    def _set(self, effects):
-        """Stack and hermitize `effects`, check completeness, and store them."""
         effects = list(effects)
         if not effects:
             raise ValueError("a POVM needs at least one effect")
@@ -73,6 +63,14 @@ class Povm:
             if e.shape != (dim, dim):
                 raise ValueError("all effects must share one dimension")
             stack[k] = e
+        self._set(stack)
+        low = np.linalg.eigvalsh(stack)[:, 0].min()
+        if low < -PSD_TOL:
+            raise ValueError(f"effect has negative eigenvalue {low:.3e}")
+
+    def _set(self, stack):
+        """Check that a complex (k, n, n) stack sums to I, and store it uncopied."""
+        dim = stack.shape[1]
         total = stack.sum(axis=0)
         total[np.diag_indices(dim)] -= 1.0
         dev = _residual_norm(total, SUM_TOL)
@@ -115,15 +113,23 @@ class DensityState:
         return f"DensityState(dim={self.dim})"
 
 
-def pure_state(vector):
-    """Rank-1 density matrix |v⟩⟨v| from a (normalized) vector."""
+def _unit_vector(vector):
+    """`vector` as a flat complex unit vector; refuses non-finite or zero input."""
     v = np.asarray(vector, dtype=complex).reshape(-1)
     if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
-    nrm = np.linalg.norm(v)
-    if nrm == 0:
+    parts = np.ascontiguousarray(v).view(float)
+    top = np.abs(parts).max(initial=0.0)
+    if top == 0:
         raise ValueError("cannot normalize the zero vector")
-    v = v / nrm
+    # An exact power-of-two scale puts the largest part in [1/2, 1): no over- or underflow.
+    v = np.ldexp(parts, -np.frexp(top)[1]).view(complex)
+    return v / np.linalg.norm(v)
+
+
+def pure_state(vector):
+    """Rank-1 density matrix |v⟩⟨v| from a (normalized) vector."""
+    v = _unit_vector(vector)
     # |v⟩⟨v| of a unit vector is PSD by construction, so the full eigvalsh
     # that DensityState runs is skipped; hermiticity and trace are checked.
     state = DensityState.__new__(DensityState)
@@ -144,34 +150,35 @@ def born_probabilities(rho, p):
 
 
 def projector_pair(v):
-    """Two-outcome POVM {VV†, I − VV†} of an isometry V with orthonormal columns.
+    """Two-outcome POVM {VVᵀ, I − VVᵀ} of a real isometry V (complex V: ValueError).
 
-    Positivity is certified from the small Gram matrix instead of the
-    effects: eig(VV†) = eig(V†V) ∪ {0} and eig(I − VV†) = 1 − eig(V†V) ∪ {1},
-    so every eigenvalue of V†V within PSD_TOL of 1 bounds both effects'
-    eigenvalues below by −PSD_TOL. Otherwise raises ValueError.
+    V is checked, not the effects: every eigenvalue of VᵀV within PSD_TOL of 1
+    certifies positivity, as eig(VVᵀ) = eig(VᵀV) ∪ {0} and eig(I − VVᵀ) =
+    1 − eig(VᵀV) ∪ {1}. numpy forms V @ V.T as a symmetric product, so the
+    effects are exactly Hermitian; `Povm._set` checks completeness.
     """
     v = np.asarray(v)
+    if np.iscomplexobj(v):
+        raise ValueError("isometry must be real: a complex VV† is not exactly Hermitian")
     if v.ndim != 2 or not np.isfinite(v).all():
         raise ValueError("isometry must be a finite matrix")
-    # For a real V, V.conj() is V itself: no complex copy is made, and V @ V.T
-    # is bit for bit the symmetric projector a caller forms from the same V.
-    vh = v.conj().T
-    dev = np.abs(np.linalg.eigvalsh(vh @ v) - 1.0).max(initial=0.0)
+    dev = np.abs(np.linalg.eigvalsh(v.T @ v) - 1.0).max(initial=0.0)
     if dev > PSD_TOL:
         raise ValueError(f"columns are not orthonormal: Gram eigenvalue off 1 by {dev:.3e}")
-    z = v @ vh
-    return Povm.__new__(Povm)._set([z, np.eye(z.shape[0]) - z])
+    stack = np.empty((2, len(v), len(v)), dtype=complex)
+    stack[0] = v @ v.T
+    np.subtract(np.eye(len(v)), stack[0].real, out=stack[1])
+    return Povm.__new__(Povm)._set(stack)
 
 
 def _controlled_observable(ws):
     """Joint POVM F_i = Σ_k W_k†|i⟩⟨i|W_k ⊗ |k⟩⟨k| of d unitaries, as (n, nd, nd).
 
     Each block is an outer product of rows of a unitary that check_unitary
-    accepted, so F is positive by construction. Its hermiticity and
-    completeness checks are exactly the per-block ones: the blocks off the
-    diagonal are exact zeros, so the completeness residual is the direct sum
-    of the block residuals and its ‖·‖₂ is the largest block's.
+    accepted, so F is positive, and Hermitian bit for bit (entry (b, a) is
+    the exact conjugate of conj(w_ia)·w_ib). Its completeness check is the
+    per-block one: the off-diagonal blocks are exact zeros, so the residual
+    is the direct sum of the block residuals and its ‖·‖₂ the largest block's.
     """
     ws = [check_unitary(w) for w in ws]
     if not ws:
@@ -193,7 +200,7 @@ def observable_from_unitary(w):
     As W ranges over U(n) these cover every orthonormal measurement basis:
     the basis B's observable W†|b_i⟩⟨b_i|W is that of B†W. It is the
     one-branch controlled-unitary joint: each effect is an outer product,
-    PSD by construction, so only hermiticity and completeness are checked on
+    Hermitian and PSD by construction, so only completeness is checked on
     the effects.
     """
     return _controlled_observable([w])

@@ -24,8 +24,9 @@ from itertools import combinations
 import numpy as np
 
 from .detector import Detector
-from .linalg import CapacityError, herm_eigh
-from .povm import check_unitary, observable_from_unitary, projector_pair, pure_state
+from .linalg import CapacityError
+from .povm import _unit_vector, check_unitary, observable_from_unitary
+from .povm import projector_pair, pure_state
 
 SYMMETRIC_QUBIT_CAP = 12
 FIURASEK_COPY_CAP = SYMMETRIC_QUBIT_CAP - 1
@@ -309,11 +310,7 @@ def fiurasek_program(psi, n_copies):
     v = np.asarray(psi, dtype=complex).reshape(-1)
     if v.shape != (2,) or not np.isfinite(v).all():
         raise ValueError("program vector must be a finite qubit")
-    nrm = np.linalg.norm(v)
-    if nrm == 0:
-        raise ValueError("cannot normalize the zero vector")
-    v = v / nrm
-    return pure_state(reduce(np.kron, [v] * n_copies, np.ones(1)))
+    return pure_state(reduce(np.kron, [_unit_vector(v)] * n_copies, np.ones(1)))
 
 
 def covariant_qubit_detector(j):
@@ -355,9 +352,10 @@ def covariant_target(g):
 
 
 def _sharp_rule(state):
-    # A sharp target's first effect is rank 1: program its top eigenvector.
+    # A sharp target's first effect is rank 1 (and stored exactly Hermitian,
+    # as every Povm's is): program its top eigenvector.
     def rule(target):
-        _, vecs = herm_eigh(target.effects[0])
+        _, vecs = np.linalg.eigh(target.effects[0])
         return state(vecs[:, -1])
 
     return rule

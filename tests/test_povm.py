@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from povmforge.detector import controlled_unitary_detector
 from povmforge.linalg import CapacityError, Rng, fro_norm, haar_unitary
 from povmforge.povm import (
     SUM_TOL,
     UNITARY_TOL,
     DensityState,
     Povm,
+    _unit_vector,
     born_probabilities,
     check_unitary,
     distance_bounds,
@@ -20,6 +22,7 @@ from povmforge.povm import (
     pure_state,
     two_outcome_distance,
 )
+from povmforge.su2 import covariant_qubit_detector, fiurasek_detector
 
 KET_PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
 
@@ -127,6 +130,69 @@ def test_pure_state_refuses_nonfinite_entries(vector):
         pure_state(vector)
 
 
+@pytest.mark.parametrize(
+    "vector,expected",
+    [
+        ([1e308, 1e308], [[0.5, 0.5], [0.5, 0.5]]),
+        ([1e-320, 0.0], [[1.0, 0.0], [0.0, 0.0]]),
+        ([5e-324, 5e-324j], [[0.5, -0.5j], [0.5j, 0.5]]),
+    ],
+)
+def test_pure_state_normalizes_at_extreme_scales(vector, expected):
+    # Finite nonzero vectors whose unscaled norm overflows or underflows.
+    assert np.allclose(pure_state(vector).matrix, expected, rtol=0, atol=1e-15)
+
+
+def test_unit_vector_scaling_moves_no_bits():
+    # Scaling by a power of two is exact: wherever the plain norm neither
+    # overflows nor underflows, the unit vector is v / ‖v‖ bit for bit.
+    g = Rng(7300).generator
+    for n in (1, 2, 7, 64, 2048):
+        for scale in (1e-150, 1e-20, 1.0, 1e20, 1e150):
+            v = (g.standard_normal(n) + 1j * g.standard_normal(n)) * scale
+            assert np.array_equal(_unit_vector(v), v / np.linalg.norm(v))
+            # A strided real view, coerced to complex as before normalizing.
+            real = v.real[::2]
+            c = real.astype(complex)
+            assert np.array_equal(_unit_vector(real), c / np.linalg.norm(c))
+
+
+def _real_isometry(order):
+    v = np.linalg.qr(Rng(7200).generator.standard_normal((12, 12)))[0][:, :5]
+    return np.asarray(v, order=order)
+
+
+# Every way a POVM or state is built, down to the array it stores.
+STORED_MATRICES = {
+    "Povm": lambda: random_povm(4, 3, Rng(5)).effects,
+    "pure_state": lambda: pure_state(haar_unitary(6, Rng(6))[:, 0]).matrix[None],
+    "projector_pair": lambda: projector_pair(_real_isometry("C")).effects,
+    "projector_pair_fortran": lambda: projector_pair(_real_isometry("F")).effects,
+    "observable_from_unitary": lambda: observable_from_unitary(haar_unitary(5, Rng(7))).effects,
+    "controlled_unitary_detector": lambda: controlled_unitary_detector(
+        [haar_unitary(3, Rng(8 + k)) for k in range(4)]
+    ).joint.effects,
+    "fiurasek_detector": lambda: fiurasek_detector(6).joint.effects,
+    "covariant_qubit_detector": lambda: covariant_qubit_detector(40.5).joint.effects,
+}
+
+
+@pytest.mark.parametrize("name", STORED_MATRICES)
+def test_constructors_store_exactly_hermitian_matrices(name):
+    # Only Povm(...), DensityState and pure_state symmetrize; the factor-built
+    # constructions are Hermitian bit for bit as built.
+    for e in STORED_MATRICES[name]():
+        assert np.array_equal(e, e.conj().T)
+
+
+def test_set_checks_completeness_and_stores_the_stack():
+    stack = np.array([np.eye(3), np.eye(3)], dtype=complex)
+    with pytest.raises(ValueError, match="do not sum to identity"):
+        Povm.__new__(Povm)._set(stack)
+    half = stack / 2
+    assert Povm.__new__(Povm)._set(half).effects is half
+
+
 def haar_isometry(dim, cols, rng, real=False):
     # The first `cols` columns of a Haar unitary, or of a real orthogonal QR.
     if real:
@@ -139,10 +205,17 @@ def haar_isometry(dim, cols, rng, real=False):
 def test_projector_pair_matches_full_validation(dim, cols, real):
     # The Gram certificate stands in for the effects' eigensolve; the
     # effects are those of the fully validated constructor, bit for bit.
+    # A complex V is refused: its VV† is not exactly Hermitian, while full
+    # validation still accepts that pair after symmetrizing it.
     v = haar_isometry(dim, cols, Rng(7000 + dim + cols), real)
-    p = projector_pair(v)
     z = v @ v.conj().T
-    assert np.array_equal(p.effects, Povm([z, np.eye(dim) - z]).effects)
+    full = Povm([z, np.eye(dim) - z])
+    if not real:
+        with pytest.raises(ValueError, match="must be real"):
+            projector_pair(v)
+        return
+    p = projector_pair(v)
+    assert np.array_equal(p.effects, full.effects)
     assert np.array_equal(p.effects, Povm(list(p.effects)).effects)
     assert p.dim == dim and len(p) == 2
 
@@ -151,8 +224,8 @@ def test_projector_pair_rejects_non_isometries():
     v = haar_isometry(8, 3, Rng(41), real=True)
     scaled = v * (1 + 1e-8)
     # I − VV† then has eigenvalue −2e-8, so full validation refuses it too.
-    for bad in (scaled, scaled.astype(complex)):
-        with pytest.raises(ValueError, match="not orthonormal"):
+    for bad, message in ((scaled, "not orthonormal"), (scaled.astype(complex), "must be real")):
+        with pytest.raises(ValueError, match=message):
             projector_pair(bad)
         z = bad @ bad.conj().T
         with pytest.raises(ValueError, match="negative eigenvalue"):
@@ -242,6 +315,10 @@ def test_check_unitary_is_judged_by_operator_norm():
 def test_check_unitary_rejects_malformed_input():
     with pytest.raises(ValueError, match="square"):
         check_unitary(np.ones((2, 3)))
+    # An empty product has a zero residual; the 0×0 matrix is refused first.
+    for make in (check_unitary, observable_from_unitary):
+        with pytest.raises(ValueError, match="nonempty square"):
+            make(np.zeros((0, 0)))
     with pytest.raises(ValueError, match="finite"):
         check_unitary(np.array([[1.0, 0.0], [0.0, np.nan]]))
 

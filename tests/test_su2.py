@@ -364,6 +364,12 @@ def test_fiurasek_program_rejects_bad_inputs():
                     fiurasek_program(psi, n)
 
 
+def test_fiurasek_program_normalizes_huge_vector():
+    # ‖(1e308, 1e308)‖ overflows unscaled; the program is |+⟩⟨+| twice over.
+    sigma = fiurasek_program([1e308, 1e308], 2)
+    assert np.allclose(sigma.matrix, np.full((4, 4), 0.25), rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("n_copies", [0, 1, 3, 6])
 def test_fiurasek_program_matches_kron_loop(n_copies):
     # Oracle: N-fold Kronecker product of the one-copy density matrix.

@@ -97,6 +97,9 @@ def test_quotient_distance_matches_closed_form(n):
 def test_quotient_distance_shape_error():
     with pytest.raises(ValueError):
         quotient_distance(np.eye(2), np.eye(3))
+    # Refused as input, not scored as a distance of 0 between empty matrices.
+    with pytest.raises(ValueError, match="nonempty square"):
+        quotient_distance(np.zeros((0, 0)), np.zeros((0, 0)))
 
 
 def test_build_net_single_center_at_diameter():
