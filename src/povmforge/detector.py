@@ -8,6 +8,7 @@ accuracy against target lists.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,29 +18,80 @@ from .povm import (
     _controlled_observable,
     _signed_extremes,
     check_enumerable,
+    check_isometry,
     povm_distance,
+    projector_pair,
 )
 
 
 class Detector:
-    """Joint POVM on a system ⊗ ancilla tensor product."""
+    """Joint POVM on a system ⊗ ancilla tensor product.
+
+    Its program map contracts the dense joint stack (:func:`_contract`);
+    :class:`IsometryDetector` is the family programmed through a factor.
+    """
 
     def __init__(self, sys_dim, anc_dim, joint):
+        self._set_shape(sys_dim, anc_dim, joint.dim, len(joint))
+        self.joint = joint
+
+    def _set_shape(self, sys_dim, anc_dim, dim, outcomes):
         if sys_dim < 1 or anc_dim < 1:
             raise ValueError("dimensions must be positive")
-        if joint.dim != sys_dim * anc_dim:
+        if dim != sys_dim * anc_dim:
             raise ValueError(
-                f"joint POVM dim {joint.dim} is not sys_dim*anc_dim = {sys_dim * anc_dim}"
+                f"joint POVM dim {dim} is not sys_dim*anc_dim = {sys_dim * anc_dim}"
             )
         self.sys_dim = sys_dim
         self.anc_dim = anc_dim
-        self.joint = joint
+        self.outcomes = outcomes
+
+    def _program_map(self, sigma):
+        """Effect stack Tr_A[(I ⊗ σ) F_k] for a d × d array `sigma`."""
+        return _contract(self.joint.effects, sigma, self.sys_dim, self.anc_dim)
 
     def __repr__(self):
         return (
-            f"Detector(sys_dim={self.sys_dim}, anc_dim={self.anc_dim}, "
-            f"outcomes={len(self.joint)})"
+            f"{type(self).__name__}(sys_dim={self.sys_dim}, anc_dim={self.anc_dim}, "
+            f"outcomes={self.outcomes})"
         )
+
+
+class IsometryDetector(Detector):
+    """Two-outcome detector {VVᵀ, I − VVᵀ}, held as its real isometry V.
+
+    V is (n·d, r), system major, and is certified at construction by
+    :func:`check_isometry`. The program map reads only V: with
+    y[(j, r), b] = Σ_a V[(j, a), r] σ_ab, the first effect is
+    out₀[i, j] = Σ_rb V[(i, b), r] y[(j, r), b], two real matrix products
+    over σ's float view, and out₁ = I − out₀. They take n·r·d² multiply-adds
+    in place of a pass over the 2·n²·d² entries of the dense joint, which
+    pays while r stays small: r = N + 2 for the Dicke basis at d = 2^N, but
+    r = d + 1 for the covariant detector's isometry, O(d³) against O(d²).
+    The dense joint (`projector_pair(V)`) is built on first access of
+    `joint`, for serialization and as the test oracle.
+    """
+
+    def __init__(self, sys_dim, anc_dim, v):
+        self.isometry = check_isometry(v)
+        self._set_shape(sys_dim, anc_dim, len(self.isometry), 2)
+
+    @cached_property
+    def joint(self):
+        return projector_pair(self.isometry)
+
+    def _program_map(self, sigma):
+        n, d = self.sys_dim, self.anc_dim
+        # a[(i, r), b] = V[(i, b), r]: a small copy, n·r·d entries.
+        a = self.isometry.reshape(n, d, -1).transpose(0, 2, 1).reshape(-1, d)
+        # Real times complex as one real product: σ's float view interleaves
+        # real and imaginary parts along its columns.
+        y = (a @ np.ascontiguousarray(sigma, dtype=complex).view(float)).view(complex)
+        yt = np.ascontiguousarray(y.reshape(n, -1).T)
+        out = np.empty((2, n, n), dtype=complex)
+        out[0] = (a.reshape(n, -1) @ yt.view(float)).view(complex)
+        out[1] = np.eye(n) - out[0]
+        return out
 
 
 @dataclass
@@ -80,14 +132,16 @@ def _contract(effects, sigma, n, d):
 def program(f, sigma):
     """System POVM realized by detector `f` with ancilla state `sigma`.
 
-    The effects Tr_A[(I ⊗ σ) F_k] come from one contraction over the joint
-    stack (:func:`_contract`). That the output is again a valid POVM is a
-    theorem (the programming map sends states into the POVM set); the Povm
-    constructor re-checks it rather than assuming it.
+    The effects Tr_A[(I ⊗ σ) F_k] come from the detector family's program
+    map: one contraction over the dense joint stack (:func:`_contract`), or
+    for an :class:`IsometryDetector` two products with its factor. That the
+    output is again a valid POVM is a theorem (the programming map sends
+    states into the POVM set); the Povm constructor re-checks it rather than
+    assuming it.
     """
     if sigma.dim != f.anc_dim:
         raise ValueError(f"program state dim {sigma.dim} != ancilla dim {f.anc_dim}")
-    return Povm(_contract(f.joint.effects, sigma.matrix, f.sys_dim, f.anc_dim))
+    return Povm(f._program_map(sigma.matrix))
 
 
 def controlled_unitary_detector(ws):

@@ -3,8 +3,8 @@
 Tensor ordering is system-major throughout the package: the first factor
 of a Kronecker product indexes the system, the second the ancilla.
 `tensor` and `partial_trace_ancilla` are the dense reference for the
-program map: the package programs detectors by one contraction instead, and
-the tests compare that contraction against these two.
+program map: the package programs detectors by contractions that never form
+I ⊗ σ instead, and the tests compare those against these two.
 """
 
 import numpy as np

@@ -128,12 +128,17 @@ def _unit_vector(vector):
 
 
 def pure_state(vector):
-    """Rank-1 density matrix |v⟩⟨v| from a (normalized) vector."""
+    """Rank-1 density matrix |v⟩⟨v| from a (normalized) vector.
+
+    |v⟩⟨v| of a unit vector is PSD by construction, and einsum forms its
+    products without fused multiply-add, so entry (j, i) is the exact
+    conjugate of entry (i, j): the matrix is Hermitian bit for bit. Neither
+    the eigensolve nor the hermiticity pass of DensityState runs; the trace
+    is checked.
+    """
     v = _unit_vector(vector)
-    # |v⟩⟨v| of a unit vector is PSD by construction, so the full eigvalsh
-    # that DensityState runs is skipped; hermiticity and trace are checked.
     state = DensityState.__new__(DensityState)
-    return state._set(check_hermitian(np.outer(v, v.conj())))
+    return state._set(np.einsum("i,j->ij", v, v.conj()))
 
 
 def maximally_mixed(n):
@@ -149,13 +154,13 @@ def born_probabilities(rho, p):
     return np.einsum("ij,kji->k", rho.matrix, p.effects).real.tolist()
 
 
-def projector_pair(v):
-    """Two-outcome POVM {VVᵀ, I − VVᵀ} of a real isometry V (complex V: ValueError).
+def check_isometry(v):
+    """Validate a real isometry V by its Gram matrix and return it as an ndarray.
 
-    V is checked, not the effects: every eigenvalue of VᵀV within PSD_TOL of 1
-    certifies positivity, as eig(VVᵀ) = eig(VᵀV) ∪ {0} and eig(I − VVᵀ) =
-    1 − eig(VᵀV) ∪ {1}. numpy forms V @ V.T as a symmetric product, so the
-    effects are exactly Hermitian; `Povm._set` checks completeness.
+    Every eigenvalue of VᵀV within PSD_TOL of 1 certifies that {VVᵀ, I − VVᵀ}
+    is positive, as eig(VVᵀ) = eig(VᵀV) ∪ {0} and eig(I − VVᵀ) =
+    1 − eig(VᵀV) ∪ {1}. A complex V is refused: its VV† is not exactly
+    Hermitian.
     """
     v = np.asarray(v)
     if np.iscomplexobj(v):
@@ -165,6 +170,17 @@ def projector_pair(v):
     dev = np.abs(np.linalg.eigvalsh(v.T @ v) - 1.0).max(initial=0.0)
     if dev > PSD_TOL:
         raise ValueError(f"columns are not orthonormal: Gram eigenvalue off 1 by {dev:.3e}")
+    return v
+
+
+def projector_pair(v):
+    """Two-outcome POVM {VVᵀ, I − VVᵀ} of a real isometry V (complex V: ValueError).
+
+    V is checked by :func:`check_isometry`, not the effects by an eigensolve.
+    numpy forms V @ V.T as a symmetric product, so the effects are exactly
+    Hermitian; `Povm._set` checks completeness.
+    """
+    v = check_isometry(v)
     stack = np.empty((2, len(v), len(v)), dtype=complex)
     stack[0] = v @ v.T
     np.subtract(np.eye(len(v)), stack[0].real, out=stack[1])

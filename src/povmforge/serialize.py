@@ -84,6 +84,7 @@ def net_to_json(net):
         "dim": net.dim,
         "radius": net.radius,
         "seed": net.seed,
+        "candidates_tested": net.candidates_tested,
         "centers": [matrix_to_json(c) for c in net.centers],
     }
 
@@ -93,13 +94,19 @@ def net_from_json(obj):
         dim = int(obj["dim"])
         radius = float(obj["radius"])
         seed = int(obj["seed"])
+        # Files written before the count was stored read as 0, the default.
+        tested = int(obj.get("candidates_tested", 0))
         centers = obj["centers"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed net JSON: {exc}") from exc
     if not isinstance(centers, list):
         raise ValueError("malformed net JSON: centers must be a list")
+    if tested < 0:
+        raise ValueError("malformed net JSON: candidates_tested must be nonnegative")
     mats = np.asarray([matrix_from_json(c) for c in centers])
-    return UnitaryNet(dim=dim, radius=radius, centers=mats, seed=seed)
+    return UnitaryNet(
+        dim=dim, radius=radius, centers=mats, seed=seed, candidates_tested=tested
+    )
 
 
 def save_json(obj, path):

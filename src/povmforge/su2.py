@@ -23,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .detector import Detector
+from .detector import Detector, IsometryDetector
 from .linalg import CapacityError
 from .povm import _unit_vector, check_unitary, observable_from_unitary
 from .povm import projector_pair, pure_state
@@ -291,17 +291,18 @@ def fiurasek_detector(n_copies):
     The first outcome is the symmetric projector on N+1 qubits, system
     qubit first. Programmed with N copies of a pure state psi it realizes
     Q0 = psi + (I - psi)/(N+1), missing the sharp target observable by
-    exactly 2/(N+1) while the ancilla dimension grows as 2^N. This dense
-    form is the reference; on the symmetric subspace the N-copy programs
-    live in, it equals `covariant_qubit_detector(N/2)`.
+    exactly 2/(N+1) while the ancilla dimension grows as 2^N. This
+    exponential form is the reference; on the symmetric subspace the N-copy
+    programs live in, it equals `covariant_qubit_detector(N/2)`.
 
-    The joint {VV^T, I - VV^T} comes from the Dicke basis V through
-    `projector_pair`, which certifies positivity from the (N+2)^2 Gram
-    matrix V^T V rather than an eigensolve of the two 2^(N+1)-dim effects.
+    The joint {VV^T, I - VV^T} is held as the real (2^(N+1), N+2) Dicke
+    basis V, an `IsometryDetector`: V is certified from its (N+2)^2 Gram
+    matrix V^T V, `program` maps the 2^N-dim program state through V without
+    forming a 2^(N+1)-square array, and the dense pair `projector_pair(V)`
+    is built only when `joint` is read.
     """
     _check_copies(n_copies, 1)
-    joint = projector_pair(_dicke_basis(n_copies + 1))
-    return Detector(2, 2 ** n_copies, joint)
+    return IsometryDetector(2, 2 ** n_copies, _dicke_basis(n_copies + 1))
 
 
 def fiurasek_program(psi, n_copies):

@@ -3,6 +3,8 @@ import pytest
 
 from povmforge.detector import (
     Detector,
+    IsometryDetector,
+    _contract,
     accuracy_for_program,
     controlled_unitary_detector,
     estimate_accuracy,
@@ -100,6 +102,39 @@ def test_program_matches_dense_oracle_fiurasek(n_copies):
     mixed = random_state(2 ** n_copies, rng)
     out = program(det, mixed)
     assert np.abs(out.effects - np.asarray(dense_program_effects(det, mixed))).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n_copies", range(1, 11))
+def test_fiurasek_program_matches_dense_contraction(n_copies):
+    # The program map through the Dicke basis against the contraction of the
+    # materialized joint, on matched pure, maximally mixed and full-rank states.
+    det = fiurasek_detector(n_copies)
+    d = 2 ** n_copies
+    rng = Rng(1200 + n_copies)
+    rule = matched_fiurasek_rule(n_copies)
+    states = [rule(observable_from_unitary(haar_unitary(2, rng))) for _ in range(2)]
+    states += [maximally_mixed(d), random_state(d, rng)]
+    joint = det.joint.effects
+    for sigma in states:
+        want = _contract(joint, sigma.matrix, 2, d)
+        assert np.abs(program(det, sigma).effects - want).max() <= 1e-12
+
+
+def test_isometry_detector_refuses_bad_factors():
+    v = np.linalg.qr(Rng(1300).generator.standard_normal((8, 8)))[0][:, :3]
+    assert IsometryDetector(2, 4, v).outcomes == 2
+    skew = v.copy()
+    skew[:, 1] = (v[:, 0] + v[:, 1]) / np.sqrt(2)  # unit columns, not orthogonal
+    for bad, message in (
+        (v * (1 + 1e-8), "not orthonormal"),
+        (skew, "not orthonormal"),
+        (v.astype(complex), "must be real"),
+        (np.full((8, 1), np.nan), "finite matrix"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            IsometryDetector(2, 4, bad)
+    with pytest.raises(ValueError, match="sys_dim\\*anc_dim"):
+        IsometryDetector(2, 3, v)
 
 
 def test_program_dimension_mismatch():

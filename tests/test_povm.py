@@ -22,7 +22,7 @@ from povmforge.povm import (
     pure_state,
     two_outcome_distance,
 )
-from povmforge.su2 import covariant_qubit_detector, fiurasek_detector
+from povmforge.su2 import covariant_qubit_detector, fiurasek_detector, fiurasek_program
 
 KET_PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
 
@@ -108,10 +108,16 @@ def test_pure_state_normalizes():
     assert np.allclose(s.matrix, np.diag([1.0, 0.0]))
     with pytest.raises(ValueError):
         pure_state([0.0, 0.0])
-    # pure_state skips the positivity eigensolve; it matches the checked path.
-    v = haar_unitary(5, Rng(6))[:, 0]
-    v = v / np.linalg.norm(v)
-    assert np.array_equal(pure_state(v).matrix, DensityState(np.outer(v, v.conj())).matrix)
+    # pure_state is the einsum outer product, bit for bit, with neither the
+    # eigensolve nor the symmetrization of the checked path, which it matches
+    # to roundoff.
+    g = Rng(6).generator
+    for n in (5, 1024):
+        raw = g.standard_normal(n) + 1j * g.standard_normal(n)
+        v = _unit_vector(raw)
+        state = pure_state(raw).matrix
+        assert np.array_equal(state, np.einsum("i,j->ij", v, v.conj()))
+        assert np.abs(state - DensityState(np.outer(v, v.conj())).matrix).max() <= 1e-15
 
 
 def test_empty_inputs_are_refused():
@@ -173,14 +179,15 @@ STORED_MATRICES = {
         [haar_unitary(3, Rng(8 + k)) for k in range(4)]
     ).joint.effects,
     "fiurasek_detector": lambda: fiurasek_detector(6).joint.effects,
+    "fiurasek_program": lambda: fiurasek_program(haar_unitary(2, Rng(9))[:, 0], 10).matrix[None],
     "covariant_qubit_detector": lambda: covariant_qubit_detector(40.5).joint.effects,
 }
 
 
 @pytest.mark.parametrize("name", STORED_MATRICES)
 def test_constructors_store_exactly_hermitian_matrices(name):
-    # Only Povm(...), DensityState and pure_state symmetrize; the factor-built
-    # constructions are Hermitian bit for bit as built.
+    # Only Povm(...) and DensityState symmetrize; pure_state and the
+    # factor-built constructions are Hermitian bit for bit as built.
     for e in STORED_MATRICES[name]():
         assert np.array_equal(e, e.conj().T)
 

@@ -81,7 +81,14 @@ def test_net_round_trip():
     assert back.dim == net.dim
     assert back.radius == net.radius
     assert back.seed == net.seed
+    assert back.candidates_tested == net.candidates_tested > 0
     assert np.abs(back.centers - net.centers).max() <= 1e-15
+    # A file written without the count still loads, with count 0.
+    obj = net_to_json(net)
+    del obj["candidates_tested"]
+    assert net_from_json(obj).candidates_tested == 0
+    with pytest.raises(ValueError, match="candidates_tested"):
+        net_from_json({**net_to_json(net), "candidates_tested": -1})
 
 
 def test_net_rejects_malformed():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from itertools import permutations
 
@@ -337,6 +338,46 @@ def test_fiurasek_joint_matches_full_validation(n_copies):
     z = symmetric_projector(n_copies + 1)
     want = Povm([z, np.eye(z.shape[0]) - z]).effects
     assert np.array_equal(fiurasek_detector(n_copies).joint.effects, want)
+
+
+def test_fiurasek_program_path_holds_no_joint():
+    # The dense pair at N = 10 holds 2 x 2048^2 complex entries (128 MiB); the
+    # program path holds the 1024^2 program state and the 2048 x 12 Dicke basis.
+    n = 10
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        det = fiurasek_detector(n)
+        repr(det)
+        target = observable_from_unitary(haar_unitary(2, Rng(1900)))
+        out = program(det, matched_fiurasek_rule(n)(target))
+        delta = povm_distance(target, out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
+    assert abs(delta - 2 / (n + 1)) <= 1e-9
+
+
+def test_fiurasek_accuracy_at_copy_cap_without_joint(monkeypatch):
+    # At the cap the joint would be 4096-dimensional; scoring never builds it.
+    dims = []
+    set_effects = Povm._set
+
+    def recording_set(self, stack):
+        dims.append(stack.shape[1])
+        return set_effects(self, stack)
+
+    monkeypatch.setattr(Povm, "_set", recording_set)
+    n = FIURASEK_COPY_CAP
+    det = fiurasek_detector(n)
+    assert "outcomes=2" in repr(det)
+    rng = Rng(1901)
+    targets = [observable_from_unitary(haar_unitary(2, rng)) for _ in range(3)]
+    report = estimate_accuracy(det, targets, matched_fiurasek_rule(n))
+    for result in report.per_target:
+        assert abs(result.delta - 2 / (n + 1)) <= 1e-9
+    assert dims and max(dims) == 2
 
 
 def test_fiurasek_program_validation():
