@@ -13,14 +13,13 @@ from functools import cached_property
 import numpy as np
 
 from .povm import (
+    PSD_TOL,
     DensityState,
     Povm,
     _controlled_observable,
     _signed_extremes,
     check_enumerable,
-    check_isometry,
     povm_distance,
-    projector_pair,
 )
 
 
@@ -46,9 +45,9 @@ class Detector:
         self.anc_dim = anc_dim
         self.outcomes = outcomes
 
-    def _program_map(self, sigma):
-        """Effect stack Tr_A[(I ⊗ σ) F_k] for a d × d array `sigma`."""
-        return _contract(self.joint.effects, sigma, self.sys_dim, self.anc_dim)
+    def _program_map(self, state):
+        """Effect stack Tr_A[(I ⊗ σ) F_k] for a DensityState σ."""
+        return _contract(self.joint.effects, state.matrix, self.sys_dim, self.anc_dim)
 
     def __repr__(self):
         return (
@@ -58,40 +57,66 @@ class Detector:
 
 
 class IsometryDetector(Detector):
-    """Two-outcome detector {VVᵀ, I − VVᵀ}, held as its real isometry V.
+    """Two-outcome detector {VVᵀ, I − VVᵀ} of a real isometry V with one nonzero per row.
 
-    V is (n·d, r), system major, and is certified at construction by
-    :func:`check_isometry`. The program map reads only V: with
-    y[(j, r), b] = Σ_a V[(j, a), r] σ_ab, the first effect is
-    out₀[i, j] = Σ_rb V[(i, b), r] y[(j, r), b], two real matrix products
-    over σ's float view, and out₁ = I − out₀. They take n·r·d² multiply-adds
-    in place of a pass over the 2·n²·d² entries of the dense joint, which
-    pays while r stays small: r = N + 2 for the Dicke basis at d = 2^N, but
-    r = d + 1 for the covariant detector's isometry, O(d³) against O(d²).
-    The dense joint (`projector_pair(V)`) is built on first access of
-    `joint`, for serialization and as the test oracle.
+    Row (i, a) of V, system major, holds `weights[i, a]` in column `cols[i, a]`,
+    so VᵀV is the diagonal bincount(cols, weights²): all of it within PSD_TOL
+    of 1 certifies both effects positive, as eig(VVᵀ) = eig(VᵀV) ∪ {0}. For
+    σ = ABᵀ and M_i[r, a] = V[(i, a), r], the map is Q₁ = I − Q₀ and
+    Q₀[i, j] = Σ_{r,k} (M_j A)[r, k]·(M_i B)[r, k]: (A, B) = (v, v̄) for a pure
+    program, O(n·d); (σ, I) for a mixed one. `joint` is built when first read.
     """
 
-    def __init__(self, sys_dim, anc_dim, v):
-        self.isometry = check_isometry(v)
-        self._set_shape(sys_dim, anc_dim, len(self.isometry), 2)
+    def __init__(self, sys_dim, anc_dim, cols, weights):
+        cols, weights = np.asarray(cols), np.asarray(weights)
+        if cols.shape != weights.shape or cols.dtype.kind not in "iu":
+            raise ValueError("cols must be an integer array shaped like weights")
+        if np.iscomplexobj(weights) or not np.isfinite(weights).all():
+            raise ValueError("weights must be real and finite: a complex VVᵀ is not Hermitian")
+        self._set_shape(sys_dim, anc_dim, cols.size, 2)
+        gram = np.bincount(cols.ravel(), weights.ravel() ** 2)
+        dev = np.abs(gram - 1.0).max()
+        if dev > PSD_TOL:
+            raise ValueError(f"columns are not orthonormal: Gram entry off 1 by {dev:.3e}")
+        self.cols = cols.reshape(sys_dim, anc_dim)
+        self.weights = weights.reshape(sys_dim, anc_dim)
+        self.rank = len(gram)
 
     @cached_property
     def joint(self):
-        return projector_pair(self.isometry)
+        # numpy forms V @ V.T as a symmetric product, so the effects are
+        # exactly Hermitian; `Povm._set` checks completeness.
+        v = _dense_isometry(self.cols, self.weights)
+        stack = np.empty((2, len(v), len(v)), dtype=complex)
+        stack[0] = v @ v.T
+        np.subtract(np.eye(len(v)), stack[0].real, out=stack[1])
+        return Povm.__new__(Povm)._set(stack)
 
-    def _program_map(self, sigma):
-        n, d = self.sys_dim, self.anc_dim
-        # a[(i, r), b] = V[(i, b), r]: a small copy, n·r·d entries.
-        a = self.isometry.reshape(n, d, -1).transpose(0, 2, 1).reshape(-1, d)
-        # Real times complex as one real product: σ's float view interleaves
-        # real and imaginary parts along its columns.
-        y = (a @ np.ascontiguousarray(sigma, dtype=complex).view(float)).view(complex)
-        yt = np.ascontiguousarray(y.reshape(n, -1).T)
-        out = np.empty((2, n, n), dtype=complex)
-        out[0] = (a.reshape(n, -1) @ yt.view(float)).view(complex)
-        out[1] = np.eye(n) - out[0]
+    def _rows_times(self, a):
+        """(M_i a)[r, k] = Σ_{b : cols[i, b] = r} weights[i, b]·a[b, k], one bincount."""
+        n, r = self.sys_dim, self.rank
+        parts = np.ascontiguousarray(a, dtype=complex).view(float)
+        width = parts.shape[1]
+        slot = (np.arange(n)[:, None] * r + self.cols)[..., None] * width + np.arange(width)
+        sums = np.bincount(slot.ravel(), (self.weights[..., None] * parts).ravel(), n * r * width)
+        return sums.reshape(n, r, width).view(complex)
+
+    def _program_map(self, state):
+        if state.vector is None:
+            a, b = state.matrix, np.eye(self.anc_dim)
+        else:
+            a, b = state.vector[:, None], state.vector.conj()[:, None]
+        out = np.empty((2, self.sys_dim, self.sys_dim), dtype=complex)
+        out[0] = np.einsum("jrk,irk->ij", self._rows_times(a), self._rows_times(b))
+        out[1] = np.eye(self.sys_dim) - out[0]
         return out
+
+
+def _dense_isometry(cols, weights):
+    """The real matrix V whose row k holds `weights.flat[k]` in column `cols.flat[k]`."""
+    v = np.zeros((cols.size, cols.max() + 1))
+    v[np.arange(cols.size), cols.ravel()] = weights.ravel()
+    return v
 
 
 @dataclass
@@ -133,15 +158,15 @@ def program(f, sigma):
     """System POVM realized by detector `f` with ancilla state `sigma`.
 
     The effects Tr_A[(I ⊗ σ) F_k] come from the detector family's program
-    map: one contraction over the dense joint stack (:func:`_contract`), or
-    for an :class:`IsometryDetector` two products with its factor. That the
+    map: one contraction of `sigma.matrix` with the dense joint stack
+    (:func:`_contract`), or an :class:`IsometryDetector`'s sparse rows. That the
     output is again a valid POVM is a theorem (the programming map sends
     states into the POVM set); the Povm constructor re-checks it rather than
     assuming it.
     """
     if sigma.dim != f.anc_dim:
         raise ValueError(f"program state dim {sigma.dim} != ancilla dim {f.anc_dim}")
-    return Povm(f._program_map(sigma.matrix))
+    return Povm(f._program_map(sigma))
 
 
 def controlled_unitary_detector(ws):

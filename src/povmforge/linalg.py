@@ -3,8 +3,9 @@
 Tensor ordering is system-major throughout the package: the first factor
 of a Kronecker product indexes the system, the second the ancilla.
 `tensor` and `partial_trace_ancilla` are the dense reference for the
-program map: the package programs detectors by contractions that never form
-I ⊗ σ instead, and the tests compare those against these two.
+program map. The package never forms I ⊗ σ: it contracts σ with a dense
+joint, or maps a pure state's vector through the sparse rows of an
+isometry detector, and the tests compare both paths against these two.
 """
 
 import numpy as np

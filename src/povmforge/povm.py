@@ -5,6 +5,8 @@ Born rule, distances and norm bounds act on the whole stack at once.
 Distances pair outcomes by index; there is no relabeling optimization.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from .linalg import CapacityError, as_matrix, check_hermitian, op_norm
@@ -47,7 +49,7 @@ class Povm:
     for completeness (sum to I within 1e-9 in operator norm) and positivity
     (min eigenvalue >= -1e-9). `_set(stack)` stores, uncopied and after the
     completeness check alone, a stack the package built from a checked factor
-    (:func:`projector_pair`, the controlled-unitary joint and its one branch).
+    (an isometry detector's joint, the controlled-unitary joint and its branch).
     """
 
     def __init__(self, effects):
@@ -91,31 +93,38 @@ class Povm:
 
 
 class DensityState:
-    """Density matrix: Hermitian, positive semidefinite, unit trace."""
+    """Density matrix: Hermitian, positive semidefinite, unit trace.
+
+    A :func:`pure_state` holds its unit `vector` and forms `matrix` on first
+    access; other states have `vector` None.
+    """
+
+    vector = None
 
     def __init__(self, matrix):
         m = check_hermitian(matrix)
         low = np.linalg.eigvalsh(m)[0]
         if low < -PSD_TOL:
             raise ValueError(f"state has negative eigenvalue {low:.3e}")
-        self._set(m)
-
-    def _set(self, m):
-        """Check the unit trace of a Hermitian PSD `m` and store it."""
         tr = np.trace(m).real
         if abs(tr - 1.0) > SUM_TOL:
             raise ValueError(f"state trace is {tr}, expected 1")
         self.dim = m.shape[0]
         self.matrix = m
-        return self
+
+    @cached_property
+    def matrix(self):
+        return np.einsum("i,j->ij", self.vector, self.vector.conj())
 
     def __repr__(self):
         return f"DensityState(dim={self.dim})"
 
 
 def _unit_vector(vector):
-    """`vector` as a flat complex unit vector; refuses non-finite or zero input."""
-    v = np.asarray(vector, dtype=complex).reshape(-1)
+    """`vector` as a complex unit vector; refuses non-1-d, non-finite or zero input."""
+    v = np.asarray(vector, dtype=complex)
+    if v.ndim != 1:
+        raise ValueError(f"expected a vector, got ndim={v.ndim}")
     if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     parts = np.ascontiguousarray(v).view(float)
@@ -128,17 +137,18 @@ def _unit_vector(vector):
 
 
 def pure_state(vector):
-    """Rank-1 density matrix |v⟩⟨v| from a (normalized) vector.
+    """Rank-1 density matrix |v⟩⟨v| of a one-dimensional vector, normalized.
 
-    |v⟩⟨v| of a unit vector is PSD by construction, and einsum forms its
-    products without fused multiply-add, so entry (j, i) is the exact
-    conjugate of entry (i, j): the matrix is Hermitian bit for bit. Neither
-    the eigensolve nor the hermiticity pass of DensityState runs; the trace
-    is checked.
+    The state holds the unit vector v, which the sparse-row program map of
+    an `IsometryDetector` reads. Its `matrix` |v⟩⟨v| is formed on first
+    access, PSD by construction, and Hermitian bit for bit, as einsum forms
+    the products without fused multiply-add: neither the eigensolve nor the
+    hermiticity pass of DensityState runs.
     """
     v = _unit_vector(vector)
     state = DensityState.__new__(DensityState)
-    return state._set(np.einsum("i,j->ij", v, v.conj()))
+    state.dim, state.vector = len(v), v
+    return state
 
 
 def maximally_mixed(n):
@@ -152,39 +162,6 @@ def born_probabilities(rho, p):
     if rho.dim != p.dim:
         raise ValueError(f"state dim {rho.dim} does not match POVM dim {p.dim}")
     return np.einsum("ij,kji->k", rho.matrix, p.effects).real.tolist()
-
-
-def check_isometry(v):
-    """Validate a real isometry V by its Gram matrix and return it as an ndarray.
-
-    Every eigenvalue of VᵀV within PSD_TOL of 1 certifies that {VVᵀ, I − VVᵀ}
-    is positive, as eig(VVᵀ) = eig(VᵀV) ∪ {0} and eig(I − VVᵀ) =
-    1 − eig(VᵀV) ∪ {1}. A complex V is refused: its VV† is not exactly
-    Hermitian.
-    """
-    v = np.asarray(v)
-    if np.iscomplexobj(v):
-        raise ValueError("isometry must be real: a complex VV† is not exactly Hermitian")
-    if v.ndim != 2 or not np.isfinite(v).all():
-        raise ValueError("isometry must be a finite matrix")
-    dev = np.abs(np.linalg.eigvalsh(v.T @ v) - 1.0).max(initial=0.0)
-    if dev > PSD_TOL:
-        raise ValueError(f"columns are not orthonormal: Gram eigenvalue off 1 by {dev:.3e}")
-    return v
-
-
-def projector_pair(v):
-    """Two-outcome POVM {VVᵀ, I − VVᵀ} of a real isometry V (complex V: ValueError).
-
-    V is checked by :func:`check_isometry`, not the effects by an eigensolve.
-    numpy forms V @ V.T as a symmetric product, so the effects are exactly
-    Hermitian; `Povm._set` checks completeness.
-    """
-    v = check_isometry(v)
-    stack = np.empty((2, len(v), len(v)), dtype=complex)
-    stack[0] = v @ v.T
-    np.subtract(np.eye(len(v)), stack[0].real, out=stack[1])
-    return Povm.__new__(Povm)._set(stack)
 
 
 def _controlled_observable(ws):

@@ -19,19 +19,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
 
 import numpy as np
 
-from .detector import Detector, IsometryDetector
+from .detector import IsometryDetector, _dense_isometry
 from .linalg import CapacityError
-from .povm import _unit_vector, check_unitary, observable_from_unitary
-from .povm import projector_pair, pure_state
+from .povm import _unit_vector, check_unitary, observable_from_unitary, pure_state
 
+# The caps guard only the dense joints, built when `joint` is read, and the
+# 2^N-entry symmetric reference: the covariant joint, of dimension 2(2j+1), fits
+# in the 2^SYMMETRIC_QUBIT_CAP = 4096 dimensions the Fiurasek one may hold.
 SYMMETRIC_QUBIT_CAP = 12
 FIURASEK_COPY_CAP = SYMMETRIC_QUBIT_CAP - 1
-# Largest 2j whose dense covariant joint, of dimension 2(2j+1), fits in the
-# 2^SYMMETRIC_QUBIT_CAP = 4096 dimensions the Fiurasek reference may hold.
 COVARIANT_TWICE_J_CAP = 2 ** (SYMMETRIC_QUBIT_CAP - 1) - 1
 
 
@@ -248,6 +247,17 @@ def _check_copies(n_copies, least):
         )
 
 
+def _dicke_factors(num_qubits):
+    # Row a of the real (2^N, N+1) Dicke basis has one nonzero, in column
+    # k = popcount(a): C(N, k)^(-1/2), for the C(N, k) rows in that column.
+    if num_qubits > SYMMETRIC_QUBIT_CAP:
+        raise CapacityError(
+            f"{num_qubits} qubits exceeds the 2^N memory cap ({SYMMETRIC_QUBIT_CAP})"
+        )
+    cols = np.array([a.bit_count() for a in range(2 ** num_qubits)])
+    return cols, (1 / np.sqrt(np.bincount(cols)))[cols]
+
+
 def dicke_state(num_qubits, num_excited):
     """Equal superposition of all computational states with k qubits set.
 
@@ -256,22 +266,8 @@ def dicke_state(num_qubits, num_excited):
     """
     if not 0 <= num_excited <= num_qubits:
         raise ValueError("excitation count out of range")
-    if num_qubits > SYMMETRIC_QUBIT_CAP:
-        raise CapacityError(
-            f"{num_qubits} qubits exceeds the 2^N memory cap ({SYMMETRIC_QUBIT_CAP})"
-        )
-    v = np.zeros(2 ** num_qubits)
-    for positions in combinations(range(num_qubits), num_excited):
-        v[sum(2 ** (num_qubits - 1 - p) for p in positions)] = 1.0
-    return v / np.linalg.norm(v)
-
-
-def _dicke_basis(num_qubits):
-    # The real (2^N, N+1) isometry onto the symmetric subspace, column k
-    # holding k excitations; dicke_state enforces the qubit cap.
-    if num_qubits < 1:
-        raise ValueError("need at least one qubit")
-    return np.column_stack([dicke_state(num_qubits, k) for k in range(num_qubits + 1)])
+    cols, weights = _dicke_factors(num_qubits)
+    return np.where(cols == num_excited, weights, 0.0)
 
 
 def symmetric_projector(num_qubits):
@@ -281,7 +277,9 @@ def symmetric_projector(num_qubits):
     averaging the N! permutation operators gives the same operator and
     serves as the test oracle for small N.
     """
-    basis = _dicke_basis(num_qubits)
+    if num_qubits < 1:
+        raise ValueError("need at least one qubit")
+    basis = _dense_isometry(*_dicke_factors(num_qubits))
     return basis @ basis.T
 
 
@@ -289,20 +287,18 @@ def fiurasek_detector(n_copies):
     """Two-outcome detector projecting system + N program copies symmetrically.
 
     The first outcome is the symmetric projector on N+1 qubits, system
-    qubit first. Programmed with N copies of a pure state psi it realizes
+    qubit first. Its matched program, N copies of a pure state psi, realizes
     Q0 = psi + (I - psi)/(N+1), missing the sharp target observable by
     exactly 2/(N+1) while the ancilla dimension grows as 2^N. This
     exponential form is the reference; on the symmetric subspace the N-copy
     programs live in, it equals `covariant_qubit_detector(N/2)`.
 
-    The joint {VV^T, I - VV^T} is held as the real (2^(N+1), N+2) Dicke
-    basis V, an `IsometryDetector`: V is certified from its (N+2)^2 Gram
-    matrix V^T V, `program` maps the 2^N-dim program state through V without
-    forming a 2^(N+1)-square array, and the dense pair `projector_pair(V)`
-    is built only when `joint` is read.
+    The joint {VV^T, I - VV^T} of the (N+1)-qubit Dicke basis V is held as
+    an `IsometryDetector`, the sparse rows of V: row (i, a) has weight
+    C(N+1, c)^(-1/2) in column c = i + popcount(a).
     """
     _check_copies(n_copies, 1)
-    return IsometryDetector(2, 2 ** n_copies, _dicke_basis(n_copies + 1))
+    return IsometryDetector(2, 2 ** n_copies, *_dicke_factors(n_copies + 1))
 
 
 def fiurasek_program(psi, n_copies):
@@ -320,10 +316,10 @@ def covariant_qubit_detector(j):
     The first outcome projects onto the j+ = j + 1/2 irreducible block,
     P+ = ((j+1) I + 2 S.J)/(2j+1), which commutes with the joint rotation
     U_g x W_g and so forces the programmed POVM into covariant form. As in
-    `fiurasek_detector`, the joint is `projector_pair` of the real (2n, n+1)
-    isometry V onto that block, n = 2j+1 the ancilla dimension (2j at most
-    COVARIANT_TWICE_J_CAP = 2047): system major, its column k is the top-J
-    Clebsch-Gordan state sqrt((n-k)/n)|0>|k> + sqrt(k/n)|1>|k-1>.
+    `fiurasek_detector`, the joint {VV^T, I - VV^T} is held as the sparse
+    rows of the real (2n, n+1) isometry V onto that block, n = 2j+1 the
+    ancilla dimension (2j at most COVARIANT_TWICE_J_CAP = 2047): its column k
+    is the top-J Clebsch-Gordan state sqrt((n-k)/n)|0>|k> + sqrt(k/n)|1>|k-1>.
     """
     j = AngularMomentum.coerce(j)
     if j.twice_j < 1:
@@ -333,9 +329,8 @@ def covariant_qubit_detector(j):
             f"twice_j {j.twice_j} exceeds the joint-space cap ({COVARIANT_TWICE_J_CAP})"
         )
     n = j.dim
-    w = np.sqrt(np.arange(n + 1) / n)
-    v = np.vstack([np.eye(n, n + 1) * w[::-1], np.eye(n, n + 1, 1) * w])
-    return Detector(2, n, projector_pair(v))
+    w, a = np.sqrt(np.arange(n + 1) / n), np.arange(n)
+    return IsometryDetector(2, n, np.stack([a, a + 1]), np.stack([w[:0:-1], w[1:]]))
 
 
 def rotated_highest_weight(j, g):

@@ -21,7 +21,15 @@ from povmforge.povm import (
 )
 
 from povmforge import DEFAULT_SEED
-from povmforge.su2 import fiurasek_detector, matched_fiurasek_rule
+from povmforge.su2 import (
+    COVARIANT_TWICE_J_CAP,
+    GroupElement,
+    covariant_qubit_detector,
+    covariant_target,
+    fiurasek_detector,
+    matched_covariant_rule,
+    matched_fiurasek_rule,
+)
 from povmforge.unet import build_net, net_detector
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
@@ -120,21 +128,75 @@ def test_fiurasek_program_matches_dense_contraction(n_copies):
         assert np.abs(program(det, sigma).effects - want).max() <= 1e-12
 
 
+@pytest.mark.parametrize("twice_j", [*range(1, 13), 81, 200, 1023])
+def test_covariant_program_matches_dense_contraction(twice_j):
+    # The sparse-row map against the contraction of the materialized joint,
+    # on matched pure, maximally mixed and full-rank states.
+    j = twice_j / 2
+    det = covariant_qubit_detector(j)
+    d = twice_j + 1
+    rng = Rng(1250 + twice_j)
+    rule = matched_covariant_rule(j)
+    states = [rule(covariant_target(GroupElement.random(rng))) for _ in range(2)]
+    states += [maximally_mixed(d), random_state(d, rng)]
+    joint = det.joint.effects
+    for sigma in states:
+        want = _contract(joint, sigma.matrix, 2, d)
+        assert np.abs(program(det, sigma).effects - want).max() <= 1e-12
+
+
+def test_covariant_program_at_cap_meets_closed_form():
+    # Q0 = psi psi† + (I − psi psi†)/(2j+1) for the matched coherent program.
+    twice_j = COVARIANT_TWICE_J_CAP
+    det = covariant_qubit_detector(twice_j / 2)
+    rng = Rng(1260)
+    for _ in range(3):
+        g = GroupElement.random(rng)
+        target = covariant_target(g)
+        psi = np.outer(g.matrix[:, 0], g.matrix[:, 0].conj())
+        want = psi + (np.eye(2) - psi) / (twice_j + 1)
+        out = program(det, matched_covariant_rule(twice_j / 2)(target))
+        assert np.abs(out.effects[0] - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("make,rule", [
+    (lambda: fiurasek_detector(10), lambda: matched_fiurasek_rule(10)),
+    (lambda: covariant_qubit_detector(COVARIANT_TWICE_J_CAP / 2),
+     lambda: matched_covariant_rule(COVARIANT_TWICE_J_CAP / 2)),
+], ids=["fiurasek", "covariant"])
+def test_pure_program_forms_no_state_matrix(make, rule):
+    det = make()
+    target = observable_from_unitary(haar_unitary(2, Rng(1270)))
+    state = rule()(target)
+    program(det, state)
+    assert "matrix" not in state.__dict__
+    assert "joint" not in det.__dict__
+
+
 def test_isometry_detector_refuses_bad_factors():
-    v = np.linalg.qr(Rng(1300).generator.standard_normal((8, 8)))[0][:, :3]
-    assert IsometryDetector(2, 4, v).outcomes == 2
-    skew = v.copy()
-    skew[:, 1] = (v[:, 0] + v[:, 1]) / np.sqrt(2)  # unit columns, not orthogonal
-    for bad, message in (
-        (v * (1 + 1e-8), "not orthonormal"),
-        (skew, "not orthonormal"),
-        (v.astype(complex), "must be real"),
-        (np.full((8, 1), np.nan), "finite matrix"),
+    # Eight rows over three columns, each column a real unit vector.
+    cols = np.array([0, 1, 2, 0, 1, 2, 0, 1])
+    weights = Rng(1300).generator.standard_normal(8)
+    weights /= np.sqrt(np.bincount(cols, weights ** 2))[cols]
+    det = IsometryDetector(2, 4, cols, weights)
+    assert (det.outcomes, det.rank, det.cols.shape) == (2, 3, (2, 4))
+    uncovered = np.where(cols == 1, 3, cols)  # column 1 is reached by no row
+    nan = weights.copy()
+    nan[3] = np.nan
+    for c, w, message in (
+        (cols, weights * (1 + 1e-8), "not orthonormal"),
+        (uncovered, weights, "not orthonormal"),
+        (cols, weights.astype(complex), "real and finite"),
+        (cols, nan, "real and finite"),
+        (cols, np.full(8, np.inf), "real and finite"),
+        (cols, weights[:6], "shaped like weights"),
+        (cols.reshape(2, 4), weights, "shaped like weights"),
+        (cols.astype(float), weights, "integer array"),
     ):
         with pytest.raises(ValueError, match=message):
-            IsometryDetector(2, 4, bad)
+            IsometryDetector(2, 4, c, w)
     with pytest.raises(ValueError, match="sys_dim\\*anc_dim"):
-        IsometryDetector(2, 3, v)
+        IsometryDetector(2, 3, cols, weights)
 
 
 def test_program_dimension_mismatch():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from povmforge.detector import controlled_unitary_detector
+from povmforge.detector import IsometryDetector, controlled_unitary_detector
 from povmforge.linalg import CapacityError, Rng, fro_norm, haar_unitary
 from povmforge.povm import (
     SUM_TOL,
@@ -18,7 +18,6 @@ from povmforge.povm import (
     maximally_mixed,
     observable_from_unitary,
     povm_distance,
-    projector_pair,
     pure_state,
     two_outcome_distance,
 )
@@ -103,6 +102,13 @@ def test_density_state_validation():
     assert np.trace(s.matrix).real == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("vector", [np.eye(2), 3.0, [[1.0, 0.0]], np.ones((2, 1))])
+def test_pure_state_refuses_non_vectors(vector):
+    # The stored vector is what the sparse-row program map reads.
+    with pytest.raises(ValueError, match="expected a vector"):
+        pure_state(vector)
+
+
 def test_pure_state_normalizes():
     s = pure_state([2.0, 0.0])
     assert np.allclose(s.matrix, np.diag([1.0, 0.0]))
@@ -163,17 +169,22 @@ def test_unit_vector_scaling_moves_no_bits():
             assert np.array_equal(_unit_vector(real), c / np.linalg.norm(c))
 
 
-def _real_isometry(order):
-    v = np.linalg.qr(Rng(7200).generator.standard_normal((12, 12)))[0][:, :5]
-    return np.asarray(v, order=order)
+def _sparse_isometry_detector(order):
+    # Twelve rows over five columns, each column a random real unit vector.
+    cols = np.arange(12) % 5
+    weights = Rng(7200).generator.standard_normal(12)
+    weights /= np.sqrt(np.bincount(cols, weights ** 2))[cols]
+    return IsometryDetector(
+        3, 4, *(np.asarray(x.reshape(3, 4), order=order) for x in (cols, weights))
+    )
 
 
 # Every way a POVM or state is built, down to the array it stores.
 STORED_MATRICES = {
     "Povm": lambda: random_povm(4, 3, Rng(5)).effects,
     "pure_state": lambda: pure_state(haar_unitary(6, Rng(6))[:, 0]).matrix[None],
-    "projector_pair": lambda: projector_pair(_real_isometry("C")).effects,
-    "projector_pair_fortran": lambda: projector_pair(_real_isometry("F")).effects,
+    "projector_pair": lambda: _sparse_isometry_detector("C").joint.effects,
+    "projector_pair_fortran": lambda: _sparse_isometry_detector("F").joint.effects,
     "observable_from_unitary": lambda: observable_from_unitary(haar_unitary(5, Rng(7))).effects,
     "controlled_unitary_detector": lambda: controlled_unitary_detector(
         [haar_unitary(3, Rng(8 + k)) for k in range(4)]
@@ -209,42 +220,51 @@ def haar_isometry(dim, cols, rng, real=False):
 
 @pytest.mark.parametrize("real", [True, False])
 @pytest.mark.parametrize("dim,cols", [(1, 1), (2, 1), (4, 0), (5, 3), (16, 7), (64, 64)])
-def test_projector_pair_matches_full_validation(dim, cols, real):
-    # The Gram certificate stands in for the effects' eigensolve; the
-    # effects are those of the fully validated constructor, bit for bit.
-    # A complex V is refused: its VV† is not exactly Hermitian, while full
-    # validation still accepts that pair after symmetrizing it.
+def test_povm_validates_isometry_projector_pairs(dim, cols, real):
+    # Full validation accepts the pair {VV†, I − VV†} of a real or complex
+    # isometry and stores it as a fixed point; scaled by 1 + 1e-8, I − VV†
+    # has eigenvalue −2e-8 and is refused.
     v = haar_isometry(dim, cols, Rng(7000 + dim + cols), real)
     z = v @ v.conj().T
     full = Povm([z, np.eye(dim) - z])
-    if not real:
-        with pytest.raises(ValueError, match="must be real"):
-            projector_pair(v)
-        return
-    p = projector_pair(v)
-    assert np.array_equal(p.effects, full.effects)
-    assert np.array_equal(p.effects, Povm(list(p.effects)).effects)
-    assert p.dim == dim and len(p) == 2
+    assert np.array_equal(full.effects, Povm(list(full.effects)).effects)
+    assert full.dim == dim and len(full) == 2
+    if cols:
+        z = z * (1 + 1e-8) ** 2
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            Povm([z, np.eye(dim) - z])
 
 
 def test_projector_pair_rejects_non_isometries():
-    v = haar_isometry(8, 3, Rng(41), real=True)
-    scaled = v * (1 + 1e-8)
+    # The isometry V of a detector is stored as sparse rows: row r holds
+    # weights[r] in column cols[r]. A V that is not an isometry is refused
+    # both as factors and, densified, as the pair {VV†, I − VV†}.
+    det = _sparse_isometry_detector("C")
+    cols, weights = det.cols.ravel(), det.weights.ravel()
+
+    def dense(w):
+        v = np.zeros((12, 5), dtype=w.dtype)
+        v[np.arange(12), cols] = w
+        return v
+
+    scaled = weights * (1 + 1e-8)
     # I − VV† then has eigenvalue −2e-8, so full validation refuses it too.
-    for bad, message in ((scaled, "not orthonormal"), (scaled.astype(complex), "must be real")):
+    for bad, message in ((scaled, "not orthonormal"), (scaled.astype(complex), "real and finite")):
         with pytest.raises(ValueError, match=message):
-            projector_pair(bad)
-        z = bad @ bad.conj().T
+            IsometryDetector(3, 4, cols, bad)
+        z = dense(bad) @ dense(bad).conj().T
         with pytest.raises(ValueError, match="negative eigenvalue"):
-            Povm([z, np.eye(8) - z])
-    skew = v.copy()
-    skew[:, 1] = (v[:, 0] + v[:, 1]) / np.sqrt(2)  # unit columns, not orthogonal
-    with pytest.raises(ValueError, match="not orthonormal"):
-        projector_pair(skew)
-    with pytest.raises(ValueError):
-        projector_pair(np.full((4, 1), np.nan))
-    with pytest.raises(ValueError):
-        projector_pair(np.ones(4))
+            Povm([z, np.eye(12) - z])
+    nan = weights.copy()
+    nan[0] = np.nan
+    with pytest.raises(ValueError, match="real and finite"):
+        IsometryDetector(3, 4, cols, nan)
+    # Unit columns that are not orthogonal: VV† has eigenvalue 1 + 1/√2.
+    v = dense(weights)
+    v[:, 1] = (v[:, 0] + v[:, 1]) / np.sqrt(2)
+    z = v @ v.T
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        Povm([z, np.eye(12) - z])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])

@@ -359,6 +359,24 @@ def test_fiurasek_program_path_holds_no_joint():
     assert abs(delta - 2 / (n + 1)) <= 1e-9
 
 
+def test_covariant_program_path_at_cap_holds_no_matrix():
+    # At 2j = 2047 the joint would hold 2 x 4096^2 complex entries (512 MiB)
+    # and |v><v| 2048^2 (64 MiB); the program path holds only vectors.
+    twice_j = COVARIANT_TWICE_J_CAP
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        det = covariant_qubit_detector(twice_j / 2)
+        target = covariant_target(GroupElement.random(Rng(1902)))
+        out = program(det, matched_covariant_rule(twice_j / 2)(target))
+        delta = povm_distance(target, out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert abs(delta - 2 / (twice_j + 1)) <= 1e-9
+
+
 def test_fiurasek_accuracy_at_copy_cap_without_joint(monkeypatch):
     # At the cap the joint would be 4096-dimensional; scoring never builds it.
     dims = []
