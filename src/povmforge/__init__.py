@@ -20,6 +20,7 @@ from .linalg import (
     CapacityError,
     Rng,
     fro_norm,
+    haar_unitaries,
     haar_unitary,
     herm_eigs,
     op_norm,
@@ -103,6 +104,7 @@ __all__ = [
     "fiurasek_detector",
     "fiurasek_program",
     "fro_norm",
+    "haar_unitaries",
     "haar_unitary",
     "herm_eigs",
     "irrep_matrix",

@@ -61,10 +61,12 @@ class IsometryDetector(Detector):
 
     Row (i, a) of V, system major, holds `weights[i, a]` in column `cols[i, a]`,
     so VᵀV is the diagonal bincount(cols, weights²): all of it within PSD_TOL
-    of 1 certifies both effects positive, as eig(VVᵀ) = eig(VᵀV) ∪ {0}. For
-    σ = ABᵀ and M_i[r, a] = V[(i, a), r], the map is Q₁ = I − Q₀ and
-    Q₀[i, j] = Σ_{r,k} (M_j A)[r, k]·(M_i B)[r, k]: (A, B) = (v, v̄) for a pure
-    program, O(n·d); (σ, I) for a mixed one. `joint` is built when first read.
+    of 1 certifies both effects positive, as eig(VVᵀ) = eig(VᵀV) ∪ {0}. The
+    map is Q₁ = I − Q₀ and Q₀[i, j] = Σ_{a,b} w[i, a]·w[j, b]·σ[b, a] over the
+    pairs with cols[i, a] = cols[j, b], for w = `weights`. A pure program v
+    runs it as Q₀[i, j] = Σ_r (M_j v)[r]·(M_i v̄)[r] with M_i[r, a] = V[(i, a), r],
+    in O(n·d); a mixed one reads σ through each block's d × d boolean
+    pattern, in O(n²·d²) time. `joint` is built when first read.
     """
 
     def __init__(self, sys_dim, anc_dim, cols, weights):
@@ -102,13 +104,20 @@ class IsometryDetector(Detector):
         return sums.reshape(n, r, width).view(complex)
 
     def _program_map(self, state):
+        n = self.sys_dim
+        out = np.empty((2, n, n), dtype=complex)
         if state.vector is None:
-            a, b = state.matrix, np.eye(self.anc_dim)
+            sigma, cols, w = state.matrix, self.cols, self.weights
+            # Q₀ is Hermitian: each block below the diagonal mirrors one above.
+            for i in range(n):
+                for j in range(i, n):
+                    pattern = cols[j][:, None] == cols[i]
+                    out[0, i, j] = np.einsum("b,ba,ba,a->", w[j], pattern, sigma, w[i])
+                    out[0, j, i] = out[0, i, j].conj()
         else:
-            a, b = state.vector[:, None], state.vector.conj()[:, None]
-        out = np.empty((2, self.sys_dim, self.sys_dim), dtype=complex)
-        out[0] = np.einsum("jrk,irk->ij", self._rows_times(a), self._rows_times(b))
-        out[1] = np.eye(self.sys_dim) - out[0]
+            v = state.vector[:, None]
+            out[0] = np.einsum("jrk,irk->ij", self._rows_times(v), self._rows_times(v.conj()))
+        out[1] = np.eye(n) - out[0]
         return out
 
 

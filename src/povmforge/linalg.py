@@ -100,16 +100,27 @@ def fro_norm(m):
 
 
 def haar_unitary(n, rng):
-    """Haar-distributed n x n unitary.
+    """Haar-distributed n x n unitary: the one-draw case of :func:`haar_unitaries`."""
+    return haar_unitaries(n, 1, rng)[0]
 
-    QR of a complex Ginibre matrix with the diagonal of R phase-fixed; this
-    is exactly Haar, not just approximately (Mezzadri's construction).
+
+def haar_unitaries(n, count, rng):
+    """`count` Haar-distributed n x n unitaries, as a (count, n, n) stack.
+
+    QR of complex Ginibre matrices with the diagonal of R phase-fixed; this
+    is exactly Haar, not just approximately (Mezzadri's construction). One
+    (count, 2, n, n) normal block holds the real and imaginary parts in the
+    order `count` single draws take them, and the stacked QR factors each
+    matrix alone, so the stack and the generator's final state are bit for
+    bit those of `count` one-draw calls.
     """
     if n < 1:
         raise ValueError("dimension must be positive")
-    g = rng.generator
-    z = (g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))) / np.sqrt(2)
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    parts = rng.generator.standard_normal((count, 2, n, n))
+    z = (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2)
     q, r = np.linalg.qr(z)
-    phases = np.diagonal(r).copy()
+    phases = np.diagonal(r, axis1=1, axis2=2).copy()
     phases /= np.abs(phases)
-    return q * phases
+    return q * phases[:, None, :]

@@ -40,6 +40,29 @@ def check_unitary(u):
     return a
 
 
+def check_unitaries(us):
+    """Validate a (d, n, n) stack of unitaries and return it as a complex ndarray.
+
+    The Frobenius norm of the stacked residual U†U − I bounds every matrix's,
+    so one norm within UNITARY_TOL clears the whole stack. Otherwise each
+    matrix that its own Frobenius norm does not clear goes to
+    :func:`check_unitary`, which judges it by ‖·‖₂ and raises its error.
+    """
+    a = np.asarray(us, dtype=complex)
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] == 0:
+        raise ValueError("unitary must be a nonempty square matrix")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    d, n, _ = a.shape
+    residual = a.conj().transpose(0, 2, 1) @ a
+    residual.reshape(d, n * n)[:, :: n + 1] -= 1.0
+    if not np.linalg.norm(residual) <= UNITARY_TOL:
+        for k in range(d):
+            if not np.linalg.norm(residual[k]) <= UNITARY_TOL:
+                check_unitary(a[k])
+    return a
+
+
 class Povm:
     """Positive operator-valued measure on a finite dimension.
 
@@ -167,20 +190,19 @@ def born_probabilities(rho, p):
 def _controlled_observable(ws):
     """Joint POVM F_i = Σ_k W_k†|i⟩⟨i|W_k ⊗ |k⟩⟨k| of d unitaries, as (n, nd, nd).
 
-    Each block is an outer product of rows of a unitary that check_unitary
-    accepted, so F is positive, and Hermitian bit for bit (entry (b, a) is
-    the exact conjugate of conj(w_ia)·w_ib). Its completeness check is the
-    per-block one: the off-diagonal blocks are exact zeros, so the residual
+    Each block is an outer product of rows of a unitary that
+    :func:`check_unitaries` accepted, so F is positive, and Hermitian bit for
+    bit (entry (b, a) is the exact conjugate of conj(w_ia)·w_ib). Its
+    completeness check is the per-block one: the off-diagonal blocks are exact zeros, so the residual
     is the direct sum of the block residuals and its ‖·‖₂ the largest block's.
     """
-    ws = [check_unitary(w) for w in ws]
+    ws = [np.asarray(w, dtype=complex) for w in ws]
     if not ws:
         raise ValueError("need at least one unitary")
-    n = ws[0].shape[0]
-    if any(w.shape != (n, n) for w in ws):
+    if len({w.shape for w in ws}) > 1:
         raise ValueError("all unitaries must share one dimension")
-    ws = np.stack(ws)
-    d = len(ws)
+    ws = check_unitaries(np.array(ws))
+    d, n, _ = ws.shape
     joint = np.zeros((n, n, d, n, d), dtype=complex)
     ks = np.arange(d)
     joint[:, :, ks, :, ks] = np.einsum("kia,kib->kiab", ws.conj(), ws)

@@ -6,6 +6,9 @@ natural metric for net construction lives on that quotient. Packing greedily
 until a rejection budget is exhausted yields an approximate covering whose
 quality is certified statistically, and whose size growth against the
 target accuracy gives the empirical scaling exponent.
+
+Haar candidates are drawn, QR-factored and screened in blocks, while the
+greedy decisions and the random stream stay those of one draw at a time.
 """
 
 import math
@@ -14,8 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import controlled_unitary_detector
-from .linalg import haar_unitary
-from .povm import check_unitary
+from .linalg import haar_unitaries
+from .povm import check_unitaries, check_unitary
+
+# Matrix entries per block of Haar draws: a block takes
+# max(1, _BLOCK_ENTRIES // n²) draws (32 at n = 3). Screening it against
+# k centres holds a few (block, k) temporaries, which set the peak memory of
+# a large net.
+_BLOCK_ENTRIES = 288
+
+
+def _block_size(n):
+    return max(1, _BLOCK_ENTRIES // (n * n))
 
 
 def quotient_distance(w, v):
@@ -29,13 +42,21 @@ def quotient_distance(w, v):
     v = check_unitary(v)
     if w.shape != v.shape:
         raise ValueError(f"dimension mismatch: {w.shape} vs {v.shape}")
-    return float(_distances_to_centers(w, v[None])[0])
+    return float(_distances(w[None], v[:, None])[0, 0])
 
 
-def _distances_to_centers(w, centers):
-    # Vectorized closed form against a (k, n, n) stack; diag(C_k W†) rows.
-    n = w.shape[0]
-    overlaps = np.abs(np.einsum("kij,ij->ki", centers, w.conj())).sum(axis=1)
+def _distances(ws, rows):
+    """Quotient distances from a (b, n, n) stack to k centres, as a (b, k) array.
+
+    `rows` holds the centres row-major, as (n, k, n): rows[i] stacks row i of
+    every centre, so term i of the closed form, |⟨i| C W† |i⟩| for each pair,
+    is one (b, n) × (n, k) product.
+    """
+    n = ws.shape[1]
+    conj = ws.conj()
+    overlaps = np.abs(conj[:, 0] @ rows[0].T)
+    for i in range(1, n):
+        overlaps += np.abs(conj[:, i] @ rows[i].T)
     return np.sqrt(np.maximum(2 * n - 2 * overlaps, 0.0))
 
 
@@ -59,8 +80,7 @@ class UnitaryNet:
             raise ValueError("centers must be a (k, dim, dim) array")
         if not 0 < self.radius < math.inf:
             raise ValueError("radius must be positive and finite")
-        for c in self.centers:
-            check_unitary(c)
+        check_unitaries(self.centers)
 
     def __len__(self):
         return self.centers.shape[0]
@@ -73,36 +93,76 @@ def build_net(n, radius, budget, rng):
     rejects everything thrown at it is close to maximal, and a maximal
     packing at radius r is automatically an r-covering; coverage is still
     certified separately rather than assumed.
+
+    Candidates come in blocks of :func:`~povmforge.linalg.haar_unitaries`
+    draws, screened against the centres at once; inside a block they are
+    settled in draw order, against the centres and the block's earlier
+    acceptances. When the stop falls inside a block, the generator is reset
+    to the block's start and only the draws used are drawn again, so the
+    net, `candidates_tested` and the state `rng` is left in are those of
+    drawing one candidate at a time. The distances come from matrix
+    products, whose roundoff differs from a one-candidate sum by about
+    1e-14, so only a distance that close to `radius` could be settled
+    differently.
     """
     if not 0 < radius < math.inf:
         raise ValueError("radius must be positive and finite")
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    centers = np.zeros((0, n, n), dtype=complex)
+    block = _block_size(n)
+    rows = np.empty((n, block, n), dtype=complex)  # centres, row-major; doubles when full
+    size = 0
     consecutive = 0
     tested = 0
     while consecutive < budget:
-        cand = haar_unitary(n, rng)
-        tested += 1
-        if len(centers) == 0 or _distances_to_centers(cand, centers).min() > radius:
-            centers = np.concatenate([centers, cand[None]], axis=0)
-            consecutive = 0
-        else:
-            consecutive += 1
+        start = rng.generator.bit_generator.state
+        cands = haar_unitaries(n, block, rng)
+        clear = _distances(cands, rows[:, :size]).min(axis=1, initial=np.inf) > radius
+        near = _distances(cands, cands.transpose(1, 0, 2)) <= radius
+        kept = []
+        for t in range(block):
+            if clear[t] and not near[t, kept].any():
+                kept.append(t)
+                consecutive = 0
+            else:
+                consecutive += 1
+                if consecutive == budget:
+                    break
+        used = t + 1
+        tested += used
+        if size + len(kept) > rows.shape[1]:
+            grown = np.empty((n, 2 * rows.shape[1], n), dtype=complex)
+            grown[:, :size] = rows[:, :size]
+            rows = grown
+        rows[:, size:size + len(kept)] = cands[kept].transpose(1, 0, 2)
+        size += len(kept)
+        if used < block:
+            rng.generator.bit_generator.state = start
+            haar_unitaries(n, used, rng)
     return UnitaryNet(
-        dim=n, radius=radius, centers=centers, seed=rng.seed, candidates_tested=tested
+        dim=n,
+        radius=radius,
+        centers=rows[:, :size].transpose(1, 0, 2).copy(),
+        seed=rng.seed,
+        candidates_tested=tested,
     )
 
 
 def certify_coverage(net, samples, rng):
-    """Fraction of fresh Haar samples within `net.radius` of some center."""
+    """Fraction of fresh Haar samples within `net.radius` of some center.
+
+    Samples come in the blocks :func:`build_net` draws, with the same
+    outcome and the same use of `rng` as one sample at a time.
+    """
     if samples < 1:
         raise ValueError("need at least one sample")
+    rows = np.ascontiguousarray(net.centers.transpose(1, 0, 2))
+    block = _block_size(net.dim)
     hits = 0
-    for _ in range(samples):
-        w = haar_unitary(net.dim, rng)
-        if _distances_to_centers(w, net.centers).min() <= net.radius:
-            hits += 1
+    for start in range(0, samples, block):
+        ws = haar_unitaries(net.dim, min(block, samples - start), rng)
+        nearest = _distances(ws, rows).min(axis=1, initial=np.inf)
+        hits += int(np.count_nonzero(nearest <= net.radius))
     return hits / samples
 
 

@@ -89,6 +89,21 @@ def test_net_scan_writes_csv_and_json(runner, tmp_path):
     assert summary["pass"] is True
 
 
+def test_net_scan_default_rows_pinned(runner):
+    # The default scan's nets, coverage rates and per-row seeds, at seed 1729.
+    result = runner.invoke(main, ["net-scan"])
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    start = lines.index("epsilon,radius,net_size,coverage_rate,seed") + 1
+    assert lines[start:start + 5] == [
+        "1.2,0.6,11,1,17930590277277446772",
+        "0.9,0.45,20,1,8200702483014923321",
+        "0.7,0.35,36,1,10177471308064096837",
+        "0.5,0.25,66,0.999,17371776802147187760",
+        "0.35,0.175,126,1,13108848142518845221",
+    ]
+
+
 def test_net_scan_refuses_json_out(runner, tmp_path):
     # The JSON summary would overwrite the CSV written to the same path.
     out = tmp_path / "scan.json"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,14 @@ def random_state(dim, rng):
     return DensityState(m / np.trace(m).real)
 
 
+def rank_two_state(dim, rng):
+    # An equal mixture of two random pure states: mixed, neither diagonal nor full rank.
+    g = rng.generator
+    vs = g.standard_normal((2, dim)) + 1j * g.standard_normal((2, dim))
+    vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+    return DensityState(np.einsum("ka,kb->ab", vs, vs.conj()) / 2)
+
+
 def test_detector_shape_validation():
     with pytest.raises(ValueError):
         Detector(2, 3, observable_from_unitary(np.eye(4)))
@@ -115,13 +125,14 @@ def test_program_matches_dense_oracle_fiurasek(n_copies):
 @pytest.mark.parametrize("n_copies", range(1, 11))
 def test_fiurasek_program_matches_dense_contraction(n_copies):
     # The program map through the Dicke basis against the contraction of the
-    # materialized joint, on matched pure, maximally mixed and full-rank states.
+    # materialized joint, on matched pure, maximally mixed, full-rank and
+    # rank-two states.
     det = fiurasek_detector(n_copies)
     d = 2 ** n_copies
     rng = Rng(1200 + n_copies)
     rule = matched_fiurasek_rule(n_copies)
     states = [rule(observable_from_unitary(haar_unitary(2, rng))) for _ in range(2)]
-    states += [maximally_mixed(d), random_state(d, rng)]
+    states += [maximally_mixed(d), random_state(d, rng), rank_two_state(d, rng)]
     joint = det.joint.effects
     for sigma in states:
         want = _contract(joint, sigma.matrix, 2, d)
@@ -131,14 +142,14 @@ def test_fiurasek_program_matches_dense_contraction(n_copies):
 @pytest.mark.parametrize("twice_j", [*range(1, 13), 81, 200, 1023])
 def test_covariant_program_matches_dense_contraction(twice_j):
     # The sparse-row map against the contraction of the materialized joint,
-    # on matched pure, maximally mixed and full-rank states.
+    # on matched pure, maximally mixed, full-rank and rank-two states.
     j = twice_j / 2
     det = covariant_qubit_detector(j)
     d = twice_j + 1
     rng = Rng(1250 + twice_j)
     rule = matched_covariant_rule(j)
     states = [rule(covariant_target(GroupElement.random(rng))) for _ in range(2)]
-    states += [maximally_mixed(d), random_state(d, rng)]
+    states += [maximally_mixed(d), random_state(d, rng), rank_two_state(d, rng)]
     joint = det.joint.effects
     for sigma in states:
         want = _contract(joint, sigma.matrix, 2, d)
@@ -157,6 +168,20 @@ def test_covariant_program_at_cap_meets_closed_form():
         want = psi + (np.eye(2) - psi) / (twice_j + 1)
         out = program(det, matched_covariant_rule(twice_j / 2)(target))
         assert np.abs(out.effects[0] - want).max() <= 1e-12
+
+
+def test_mixed_program_holds_a_fraction_of_sigma():
+    # The map holds one d × d boolean pattern at a time, not index arrays of
+    # several times σ's size.
+    det = covariant_qubit_detector(511 / 2)
+    sigma = maximally_mixed(512)
+    tracemalloc.start()
+    try:
+        program(det, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sigma.matrix.nbytes / 2
 
 
 @pytest.mark.parametrize("make,rule", [

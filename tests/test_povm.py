@@ -13,6 +13,7 @@ from povmforge.povm import (
     Povm,
     _unit_vector,
     born_probabilities,
+    check_unitaries,
     check_unitary,
     distance_bounds,
     maximally_mixed,
@@ -348,6 +349,29 @@ def test_check_unitary_rejects_malformed_input():
             make(np.zeros((0, 0)))
     with pytest.raises(ValueError, match="finite"):
         check_unitary(np.array([[1.0, 0.0], [0.0, np.nan]]))
+
+
+def test_check_unitaries_screens_the_stack_then_judges_by_operator_norm():
+    stack = np.stack([haar_unitary(3, Rng(70 + k)) for k in range(40)])
+    assert np.array_equal(check_unitaries(stack), stack)
+    assert check_unitaries(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+    # Past the Frobenius screen, the matrix's own ‖U†U − I‖₂ decides, as in
+    # check_unitary.
+    near = np.eye(100) * np.sqrt(1 + 0.9 * UNITARY_TOL)
+    far = np.eye(100) * np.sqrt(1 + 1.1 * UNITARY_TOL)
+    assert np.array_equal(check_unitaries(np.stack([np.eye(100), near])), [np.eye(100), near])
+    with pytest.raises(ValueError, match="not unitary"):
+        check_unitaries(np.stack([near, far, np.eye(100)]))
+
+
+def test_check_unitaries_rejects_malformed_input():
+    for bad in (np.eye(2), np.ones((1, 2, 3)), np.zeros((1, 0, 0))):
+        with pytest.raises(ValueError, match="nonempty square"):
+            check_unitaries(bad)
+    stack = np.stack([np.eye(2)] * 3)
+    stack[2, 1, 1] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        check_unitaries(stack)
 
 
 def test_observable_rejects_nonunitary():

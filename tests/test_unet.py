@@ -3,7 +3,7 @@ import pytest
 
 from povmforge import unet
 from povmforge.detector import program
-from povmforge.linalg import Rng, haar_unitary
+from povmforge.linalg import Rng, haar_unitaries, haar_unitary
 from povmforge.povm import Povm, observable_from_unitary, povm_distance, pure_state
 from povmforge.unet import (
     UnitaryNet,
@@ -13,6 +13,58 @@ from povmforge.unet import (
     quotient_distance,
     scaling_scan,
 )
+
+
+def sequential_haar(n, rng):
+    # One Haar draw at a time: two (n, n) normal draws, one QR and the
+    # phase fix of R's diagonal.
+    g = rng.generator
+    z = (g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    phases = np.diagonal(r).copy()
+    phases /= np.abs(phases)
+    return q * phases
+
+
+def sequential_distances(w, centers):
+    # The closed form for one candidate, as an einsum over a (k, n, n) stack.
+    n = w.shape[0]
+    overlaps = np.abs(np.einsum("kij,ij->ki", centers, w.conj())).sum(axis=1)
+    return np.sqrt(np.maximum(2 * n - 2 * overlaps, 0.0))
+
+
+def sequential_build_net(n, radius, budget, rng):
+    # The greedy loop one candidate at a time: the oracle for build_net.
+    centers = np.zeros((0, n, n), dtype=complex)
+    consecutive = tested = 0
+    while consecutive < budget:
+        cand = sequential_haar(n, rng)
+        tested += 1
+        if len(centers) == 0 or sequential_distances(cand, centers).min() > radius:
+            centers = np.concatenate([centers, cand[None]], axis=0)
+            consecutive = 0
+        else:
+            consecutive += 1
+    return centers, tested
+
+
+def sequential_hits(centers, radius, samples, rng):
+    # The coverage loop one sample at a time: the oracle for certify_coverage.
+    n = centers.shape[1]
+    return sum(
+        bool(sequential_distances(sequential_haar(n, rng), centers).min() <= radius)
+        for _ in range(samples)
+    )
+
+
+def assert_same_as_sequential(n, radius, budget, seed):
+    want_rng, got_rng = Rng(seed), Rng(seed)
+    centers, tested = sequential_build_net(n, radius, budget, want_rng)
+    net = build_net(n, radius, budget, got_rng)
+    assert np.array_equal(net.centers, centers)
+    assert net.candidates_tested == tested
+    assert got_rng.generator.bit_generator.state == want_rng.generator.bit_generator.state
+    return net
 
 
 def random_phase_diag(n, rng):
@@ -269,3 +321,84 @@ def test_scaling_scan_refuses_no_samples_before_building(monkeypatch, samples):
     monkeypatch.setattr(unet, "build_net", reached)
     with pytest.raises(ValueError, match="at least one sample"):
         scaling_scan(2, [0.5, 0.4], 100, Rng(1), samples=samples)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("count", [0, 1, 7, 64])
+def test_haar_unitaries_match_sequential_draws(n, count):
+    want_rng, got_rng = Rng(300 + count), Rng(300 + count)
+    want = [sequential_haar(n, want_rng) for _ in range(count)]
+    got = haar_unitaries(n, count, got_rng)
+    assert got.shape == (count, n, n)
+    assert np.array_equal(got, np.reshape(want, (count, n, n)))
+    assert got_rng.generator.bit_generator.state == want_rng.generator.bit_generator.state
+    assert np.array_equal(haar_unitary(n, got_rng), sequential_haar(n, want_rng))
+
+
+def test_haar_unitaries_validation():
+    with pytest.raises(ValueError, match="dimension"):
+        haar_unitaries(0, 3, Rng(1))
+    with pytest.raises(ValueError, match="count"):
+        haar_unitaries(2, -1, Rng(1))
+
+
+@pytest.mark.parametrize("n,radius", [(1, 0.5), (2, 0.5), (3, 1.2), (5, 2.2)])
+@pytest.mark.parametrize("budget", [1, 5, 60, 2000])
+def test_build_net_matches_sequential_loop(n, radius, budget):
+    # Budgets of 1 and 5 stop inside the first blocks, which are then redrawn
+    # up to the stop; at n = 3 and 5 the nets outgrow the first buffer.
+    assert_same_as_sequential(n, radius, budget, 100 * n + budget)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("budget", [1, 5, 60, 2000])
+def test_build_net_at_diameter_matches_sequential_loop(n, budget):
+    # No quotient distance exceeds sqrt(2n): the first draw is the net.
+    net = assert_same_as_sequential(n, np.sqrt(2 * n), budget, 200 * n + budget)
+    assert len(net) == 1
+    assert net.candidates_tested == budget + 1
+
+
+@pytest.mark.parametrize(
+    "n,radius,budget,seed,size,tested",
+    [
+        # The qutrit nets of the benchmark's first round, and its C8 qubit net.
+        (3, 1.6 / np.sqrt(6), 60, 1000, 653, 2785),
+        (3, 1.6 / np.sqrt(6), 60, 1001, 730, 4339),
+        (2, 0.35, 4000, 77, 34, 11297),
+    ],
+)
+def test_pinned_nets_match_sequential_loop(n, radius, budget, seed, size, tested):
+    net = assert_same_as_sequential(n, radius, budget, seed)
+    assert len(net) == size
+    assert net.candidates_tested == tested
+
+
+@pytest.mark.parametrize("n,radius", [(1, 0.5), (2, 0.5), (3, 1.2), (5, 2.2)])
+def test_certify_coverage_matches_sequential_loop(n, radius):
+    built = build_net(n, radius, 60, Rng(400 + n))
+    # At half the radius a good share of the samples miss.
+    halved = UnitaryNet(dim=n, radius=radius / 2, centers=built.centers, seed=0)
+    block = unet._block_size(n)
+    for net in (built, halved):
+        for samples in sorted({1, max(block - 1, 1), block + 1, 1000}):
+            want_rng, got_rng = Rng(500 + samples), Rng(500 + samples)
+            hits = sequential_hits(net.centers, net.radius, samples, want_rng)
+            assert certify_coverage(net, samples, got_rng) == hits / samples
+            state = got_rng.generator.bit_generator.state
+            assert state == want_rng.generator.bit_generator.state
+
+
+def test_certify_coverage_of_empty_net_is_zero():
+    net = UnitaryNet(dim=2, radius=0.5, centers=np.zeros((0, 2, 2)), seed=0)
+    assert certify_coverage(net, 40, Rng(1)) == 0.0
+
+
+def test_unitary_net_refuses_one_bad_center():
+    centers = haar_unitaries(3, 50, Rng(600))
+    centers[17] *= 1 + 1e-8
+    with pytest.raises(ValueError, match="not unitary"):
+        UnitaryNet(dim=3, radius=0.5, centers=centers, seed=0)
+    centers[17, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        UnitaryNet(dim=3, radius=0.5, centers=centers, seed=0)
