@@ -64,9 +64,10 @@ class IsometryDetector(Detector):
     of 1 certifies both effects positive, as eig(VVᵀ) = eig(VᵀV) ∪ {0}. The
     map is Q₁ = I − Q₀ and Q₀[i, j] = Σ_{a,b} w[i, a]·w[j, b]·σ[b, a] over the
     pairs with cols[i, a] = cols[j, b], for w = `weights`. A pure program v
-    runs it as Q₀[i, j] = Σ_r (M_j v)[r]·(M_i v̄)[r] with M_i[r, a] = V[(i, a), r],
-    in O(n·d); a mixed one reads σ through each block's d × d boolean
-    pattern, in O(n²·d²) time. `joint` is built when first read.
+    runs it as Q₀ = X̄·Xᵀ for X[i, r] = (M_i v)[r], M_i[r, a] = V[(i, a), r], in
+    O(n·d): the weights are real, so M_i v̄ is the conjugate of M_i v. A mixed
+    one reads σ through each block's d × d boolean pattern, in O(n²·d²)
+    time. `joint` is built when first read.
     """
 
     def __init__(self, sys_dim, anc_dim, cols, weights):
@@ -94,15 +95,6 @@ class IsometryDetector(Detector):
         np.subtract(np.eye(len(v)), stack[0].real, out=stack[1])
         return Povm.__new__(Povm)._set(stack)
 
-    def _rows_times(self, a):
-        """(M_i a)[r, k] = Σ_{b : cols[i, b] = r} weights[i, b]·a[b, k], one bincount."""
-        n, r = self.sys_dim, self.rank
-        parts = np.ascontiguousarray(a, dtype=complex).view(float)
-        width = parts.shape[1]
-        slot = (np.arange(n)[:, None] * r + self.cols)[..., None] * width + np.arange(width)
-        sums = np.bincount(slot.ravel(), (self.weights[..., None] * parts).ravel(), n * r * width)
-        return sums.reshape(n, r, width).view(complex)
-
     def _program_map(self, state):
         n = self.sys_dim
         out = np.empty((2, n, n), dtype=complex)
@@ -115,8 +107,11 @@ class IsometryDetector(Detector):
                     out[0, i, j] = np.einsum("b,ba,ba,a->", w[j], pattern, sigma, w[i])
                     out[0, j, i] = out[0, i, j].conj()
         else:
-            v = state.vector[:, None]
-            out[0] = np.einsum("jrk,irk->ij", self._rows_times(v), self._rows_times(v.conj()))
+            slot, size = (np.arange(n)[:, None] * self.rank + self.cols).ravel(), n * self.rank
+            re, im = (np.bincount(slot, (self.weights * p).ravel(), size)
+                      for p in (state.vector.real, state.vector.imag))
+            x = (re + 1j * im).reshape(n, self.rank)
+            out[0] = x.conj() @ x.T
         out[1] = np.eye(n) - out[0]
         return out
 

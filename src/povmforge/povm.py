@@ -30,14 +30,11 @@ def _residual_norm(residual, tol):
 
 
 def check_unitary(u):
-    """Validate ‖U†U − I‖₂ ≤ UNITARY_TOL and return U as a complex ndarray."""
-    a = as_matrix(u)
-    if a.shape[0] != a.shape[1] or a.size == 0:
-        raise ValueError("unitary must be a nonempty square matrix")
-    dev = _residual_norm(a.conj().T @ a - np.eye(a.shape[0]), UNITARY_TOL)
-    if dev > UNITARY_TOL:
-        raise ValueError(f"matrix is not unitary: ‖U†U−I‖ = {dev:.3e} > {UNITARY_TOL:.0e}")
-    return a
+    """Validate ‖U†U − I‖₂ ≤ UNITARY_TOL and return U as a complex ndarray.
+
+    The one-matrix case of :func:`check_unitaries`.
+    """
+    return check_unitaries(as_matrix(u)[None])[0]
 
 
 def check_unitaries(us):
@@ -45,8 +42,7 @@ def check_unitaries(us):
 
     The Frobenius norm of the stacked residual U†U − I bounds every matrix's,
     so one norm within UNITARY_TOL clears the whole stack. Otherwise each
-    matrix that its own Frobenius norm does not clear goes to
-    :func:`check_unitary`, which judges it by ‖·‖₂ and raises its error.
+    matrix is judged by its own residual's ‖·‖₂ (:func:`_residual_norm`).
     """
     a = np.asarray(us, dtype=complex)
     if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] == 0:
@@ -58,8 +54,11 @@ def check_unitaries(us):
     residual.reshape(d, n * n)[:, :: n + 1] -= 1.0
     if not np.linalg.norm(residual) <= UNITARY_TOL:
         for k in range(d):
-            if not np.linalg.norm(residual[k]) <= UNITARY_TOL:
-                check_unitary(a[k])
+            dev = _residual_norm(residual[k], UNITARY_TOL)
+            if not dev <= UNITARY_TOL:  # NaN, from an overflowed residual, is refused
+                raise ValueError(
+                    f"matrix is not unitary: ‖U†U−I‖ = {dev:.3e} > {UNITARY_TOL:.0e}"
+                )
     return a
 
 

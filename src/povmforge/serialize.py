@@ -103,7 +103,9 @@ def net_from_json(obj):
         raise ValueError("malformed net JSON: centers must be a list")
     if tested < 0:
         raise ValueError("malformed net JSON: candidates_tested must be nonnegative")
-    mats = np.asarray([matrix_from_json(c) for c in centers])
+    mats = [matrix_from_json(c) for c in centers]
+    # An empty list reads as the empty (0, dim, dim) stack UnitaryNet accepts.
+    mats = np.array(mats) if mats else np.zeros((0, dim, dim), dtype=complex)
     return UnitaryNet(
         dim=dim, radius=radius, centers=mats, seed=seed, candidates_tested=tested
     )

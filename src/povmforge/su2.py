@@ -18,7 +18,6 @@ them anyway so every basis-dependent intermediate is reproducible.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 
@@ -60,7 +59,10 @@ class AngularMomentum:
 
 
 def _twice_half_integer(value):
-    twice = 2 * float(value)
+    try:
+        twice = 2 * float(value)
+    except OverflowError:  # an int past the float range
+        twice = math.inf
     if not math.isfinite(twice) or abs(twice - round(twice)) > 1e-9:
         raise ValueError(f"{value} is not a finite half-integer")
     return int(round(twice))
@@ -117,14 +119,16 @@ def compose(g, h):
     return GroupElement.from_matrix(g.matrix @ h.matrix)
 
 
-def _coherent_amplitudes(j, v):
-    # W|j,j> for a rotation W with unit first column v: sqrt(C(2j, k)) v0^(2j-k) v1^k
-    # at m = j - k, coupled one spin-1/2 at a time (each step an isometry).
-    c = np.ones(1, dtype=complex)
-    for n in range(1, j.twice_j + 1):
-        w = np.sqrt(np.arange(n + 1) / n)
-        c = v[0] * w[::-1] * np.append(c, 0) + v[1] * w * np.append(0, c)
-    return c
+def _coherent_amplitudes(twice_j, v):
+    # W|j,j> for a rotation W with first column v = (a, b): c_k ∝ sqrt(C(2j, k)) a^(2j-k) b^k
+    # at m = j - k, in log space and scaled to max |c_k| = 1, so no power over- or underflows.
+    a, b = np.asarray(v, dtype=complex)
+    k = np.arange(twice_j + 1)
+    if a == 0 or b == 0:
+        return (k == (twice_j if a == 0 else 0)).astype(complex)
+    half_log_binom = np.log(np.append(1.0, (twice_j + 1 - k[1:]) / k[1:])).cumsum() / 2
+    logs = half_log_binom + (twice_j - k) * np.log(a) + k * np.log(b)
+    return np.exp(logs - logs.real.max())
 
 
 def _irrep_from_euler(twice_j, alpha, beta, gamma):
@@ -302,12 +306,27 @@ def fiurasek_detector(n_copies):
 
 
 def fiurasek_program(psi, n_copies):
-    """Matched program state: N copies of |psi><psi| (N = 0 gives the 1-dim state)."""
+    """Matched program state: N copies of |psi><psi| (N = 0 gives the 1-dim state).
+
+    psi^(x)N = sum_k c_k |D_k>: `rotated_highest_weight`'s vector c in the Dicke basis.
+    """
     _check_copies(n_copies, 0)
     v = np.asarray(psi, dtype=complex).reshape(-1)
     if v.shape != (2,) or not np.isfinite(v).all():
         raise ValueError("program vector must be a finite qubit")
-    return pure_state(reduce(np.kron, [_unit_vector(v)] * n_copies, np.ones(1)))
+    cols, weights = _dicke_factors(n_copies)
+    return pure_state(_coherent_amplitudes(n_copies, _unit_vector(v))[cols] * weights)
+
+
+def _covariant_spin(j):
+    # The covariant detector's cap bounds its matched programs too: they have
+    # no other consumer, and (2j+1)-entry arrays past it are as out of reach.
+    j = AngularMomentum.coerce(j)
+    if j.twice_j > COVARIANT_TWICE_J_CAP:
+        raise CapacityError(
+            f"twice_j {j.twice_j} exceeds the joint-space cap ({COVARIANT_TWICE_J_CAP})"
+        )
+    return j
 
 
 def covariant_qubit_detector(j):
@@ -321,13 +340,9 @@ def covariant_qubit_detector(j):
     ancilla dimension (2j at most COVARIANT_TWICE_J_CAP = 2047): its column k
     is the top-J Clebsch-Gordan state sqrt((n-k)/n)|0>|k> + sqrt(k/n)|1>|k-1>.
     """
-    j = AngularMomentum.coerce(j)
+    j = _covariant_spin(j)
     if j.twice_j < 1:
         raise ValueError("need twice_j >= 1")
-    if j.twice_j > COVARIANT_TWICE_J_CAP:
-        raise CapacityError(
-            f"twice_j {j.twice_j} exceeds the joint-space cap ({COVARIANT_TWICE_J_CAP})"
-        )
     n = j.dim
     w, a = np.sqrt(np.arange(n + 1) / n), np.arange(n)
     return IsometryDetector(2, n, np.stack([a, a + 1]), np.stack([w[:0:-1], w[1:]]))
@@ -338,8 +353,9 @@ def rotated_highest_weight(j, g):
 
     Amplitudes sqrt(C(2j, k)) a^(2j-k) b^k at m = j - k, with (a, b) = g's
     first column; a phase on (a, b) is a global phase, so it drops out.
+    2j is capped as in `covariant_qubit_detector`.
     """
-    return pure_state(_coherent_amplitudes(AngularMomentum.coerce(j), g.matrix[:, 0]))
+    return pure_state(_coherent_amplitudes(_covariant_spin(j).twice_j, g.matrix[:, 0]))
 
 
 def covariant_target(g):
@@ -368,6 +384,7 @@ def matched_covariant_rule(j):
 
     Programs W|j,j>, amplitudes sqrt(C(2j, k)) a^(2j-k) b^k at m = j - k, for
     the target's top eigenvector psi = (a, b); psi's phase drops out.
+    2j is capped as in `covariant_qubit_detector`.
     """
-    j = AngularMomentum.coerce(j)
-    return _sharp_rule(lambda psi: pure_state(_coherent_amplitudes(j, psi)))
+    twice_j = _covariant_spin(j).twice_j
+    return _sharp_rule(lambda psi: pure_state(_coherent_amplitudes(twice_j, psi)))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -362,6 +363,16 @@ def test_check_unitaries_screens_the_stack_then_judges_by_operator_norm():
     assert np.array_equal(check_unitaries(np.stack([np.eye(100), near])), [np.eye(100), near])
     with pytest.raises(ValueError, match="not unitary"):
         check_unitaries(np.stack([near, far, np.eye(100)]))
+
+
+def test_check_unitary_refuses_an_overflowed_residual():
+    # U†U overflows to inf, and the eigensolve of the residual gives NaN.
+    huge = np.diag([1e200, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for check in (check_unitary, lambda u: check_unitaries(u[None])):
+            with pytest.raises(ValueError, match="not unitary"):
+                check(huge)
 
 
 def test_check_unitaries_rejects_malformed_input():

@@ -16,7 +16,7 @@ from povmforge.serialize import (
     povm_to_json,
     save_json,
 )
-from povmforge.unet import build_net
+from povmforge.unet import UnitaryNet, build_net
 
 
 def test_matrix_round_trip():
@@ -89,6 +89,14 @@ def test_net_round_trip():
     assert net_from_json(obj).candidates_tested == 0
     with pytest.raises(ValueError, match="candidates_tested"):
         net_from_json({**net_to_json(net), "candidates_tested": -1})
+
+
+def test_empty_net_round_trip():
+    for dim in (2, 3):
+        net = UnitaryNet(dim=dim, radius=0.5, centers=np.zeros((0, dim, dim)), seed=1)
+        back = net_from_json(net_to_json(net))
+        assert (back.dim, back.radius, back.seed) == (dim, 0.5, 1)
+        assert back.centers.shape == (0, dim, dim) and len(back) == 0
 
 
 def test_net_rejects_malformed():

@@ -6,6 +6,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.stats import binom
 from sympy import Rational
 from sympy.physics.quantum.cg import CG as SympyCG
 
@@ -18,6 +19,7 @@ from povmforge.su2 import (
     SYMMETRIC_QUBIT_CAP,
     AngularMomentum,
     GroupElement,
+    _coherent_amplitudes,
     clebsch_gordan,
     compose,
     coupling_isometry,
@@ -48,6 +50,16 @@ def spin_operators(twice_j):
     return jz, jy
 
 
+def coupled_coherent_amplitudes(twice_j, v):
+    # W|j,j> coupled one spin-1/2 at a time, each step an isometry: the
+    # O(j^2) oracle for the closed form of _coherent_amplitudes.
+    c = np.ones(1, dtype=complex)
+    for n in range(1, twice_j + 1):
+        w = np.sqrt(np.arange(n + 1) / n)
+        c = v[0] * w[::-1] * np.append(c, 0) + v[1] * w * np.append(0, c)
+    return c
+
+
 def permutation_operator(num_qubits, perm):
     dim = 2 ** num_qubits
     op = np.zeros((dim, dim))
@@ -58,6 +70,17 @@ def permutation_operator(num_qubits, perm):
             out |= b << (num_qubits - 1 - perm[k])
         op[out, idx] = 1.0
     return op
+
+
+def test_huge_int_spin_is_refused_not_overflowed():
+    # float(10**400) overflows; the value is refused as a non-finite half-integer.
+    for call in (lambda: covariant_qubit_detector(10**400),
+                 lambda: matched_covariant_rule(10**400),
+                 lambda: rotated_highest_weight(10**400, GroupElement.identity()),
+                 lambda: clebsch_gordan(10**400, 0, 0, 0, 10**400, 0),
+                 lambda: AngularMomentum.coerce(-(10**400))):
+        with pytest.raises(ValueError, match="not a finite half-integer"):
+            call()
 
 
 def test_angular_momentum_basics():
@@ -331,6 +354,20 @@ def test_covariant_cap():
             covariant_qubit_detector(twice_j / 2)
 
 
+def test_matched_covariant_programs_share_the_detector_cap():
+    # The matched programs feed only the covariant detector, so they stop at
+    # its cap rather than allocate (2j+1)-entry arrays it cannot use.
+    g = GroupElement.random(Rng(1903))
+    j = COVARIANT_TWICE_J_CAP / 2
+    assert rotated_highest_weight(j, g).dim == COVARIANT_TWICE_J_CAP + 1
+    assert matched_covariant_rule(j)(covariant_target(g)).dim == COVARIANT_TWICE_J_CAP + 1
+    for twice_j in (COVARIANT_TWICE_J_CAP + 1, 2 * 10**6, 2 * 10**300):
+        with pytest.raises(CapacityError, match="cap"):
+            rotated_highest_weight(twice_j / 2, g)
+        with pytest.raises(CapacityError, match="cap"):
+            matched_covariant_rule(twice_j / 2)
+
+
 @pytest.mark.parametrize("n_copies", range(1, 11))
 def test_fiurasek_joint_matches_full_validation(n_copies):
     # The Gram-certified joint is the fully validated pair on the symmetric
@@ -569,6 +606,33 @@ def test_coherent_programs_match_irrep_oracle(twice_j):
         assert np.abs(state - want).max() <= 1e-12
         assert abs(np.trace(state) - 1.0) <= 1e-12
         assert np.abs(rule(covariant_target(g)).matrix - want).max() <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("twice_j", [0, *range(1, 13), 81, 200, 1023, 2047])
+def test_coherent_closed_form_matches_coupled_oracle(twice_j):
+    # Identity (b = 0), beta = pi (a ~ 6e-17) and the flipped target (a = 0)
+    # besides Haar draws; the two differ by roundoff that grows with 2j, to ~1e-14 at 2047.
+    rng = Rng(950 + twice_j)
+    vs = [g.matrix[:, 0] for g in (GroupElement.identity(), GroupElement(0.7, math.pi, -0.4),
+                                   GroupElement.random(rng), GroupElement.random(rng))]
+    for v in (*vs, np.array([0.0, 1.0])):
+        got = _coherent_amplitudes(twice_j, v)
+        want = coupled_coherent_amplitudes(twice_j, v)
+        got, want = got / np.linalg.norm(got), want / np.linalg.norm(want)
+        assert np.abs(np.outer(got, got.conj()) - np.outer(want, want.conj())).max() <= 1e-13
+
+
+@pytest.mark.filterwarnings("error")
+def test_coherent_weights_are_binomial_at_huge_spin():
+    # |c_k|^2 is the binomial law of k flips at |b|^2, far past the cap.
+    twice_j = 10**5
+    for g in (GroupElement(0.3, 1.1, -2.0), GroupElement.random(Rng(960))):
+        v = g.matrix[:, 0]
+        c = _coherent_amplitudes(twice_j, v)
+        weights = np.abs(c) ** 2 / np.sum(np.abs(c) ** 2)
+        want = binom.pmf(np.arange(twice_j + 1), twice_j, abs(v[1]) ** 2)
+        assert np.abs(weights - want).max() <= 1e-12
 
 
 def test_covariant_rule_on_exactly_flipped_target():
