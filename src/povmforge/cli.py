@@ -171,6 +171,9 @@ def cmd_fiurasek_scan(n_min, n_max, n_targets, tol, seed, out):
 
 
 @main.command("covariant-scan")
+@click.option("--j-min", "twice_j_min",
+              type=click.IntRange(1, COVARIANT_TWICE_J_CAP), default=1,
+              show_default=True, help="Smallest ancilla spin, as twice j.")
 @click.option("--j-max", "twice_j_max",
               type=click.IntRange(1, COVARIANT_TWICE_J_CAP), default=9,
               show_default=True, help="Largest ancilla spin, as twice j.")
@@ -178,16 +181,24 @@ def cmd_fiurasek_scan(n_min, n_max, n_targets, tol, seed, out):
 @click.option("--tol", type=_FiniteRange(min=0), default=1e-9, show_default=True)
 @seed_option
 @out_option
-def cmd_covariant_scan(twice_j_max, n_targets, tol, seed, out):
+def cmd_covariant_scan(twice_j_min, twice_j_max, n_targets, tol, seed, out):
     """Accuracy of the rotation-covariant detector against ancilla spin.
 
     Ancilla dimension d = 2j+1, accuracy 2/d: linear scaling. Rows check
     measured accuracy on rotated sharp targets and the d = 2/eps identity.
+    Each row's targets depend only on the seed and 2j, so --j-min runs the
+    rows from 2j = --j-min exactly as the full scan does.
     """
-    _law_scan("covariant-scan", "twice_j", range(1, twice_j_max + 1),
+    if twice_j_max < twice_j_min:
+        raise click.UsageError(
+            f"empty range: --j-max {twice_j_max} < --j-min {twice_j_min}"
+        )
+    # The header names j_min only off its default, so default runs keep their output.
+    from_j_min = {"j_min": twice_j_min} if twice_j_min != 1 else {}
+    _law_scan("covariant-scan", "twice_j", range(twice_j_min, twice_j_max + 1),
               lambda rng: covariant_target(GroupElement.random(rng)),
               lambda twice_j, eps: (twice_j + 1, 2.0 / eps),
-              n_targets, tol, seed, out, j_max=twice_j_max)
+              n_targets, tol, seed, out, **from_j_min, j_max=twice_j_max)
 
 
 @main.command("net-scan")

@@ -16,9 +16,13 @@ SUM_TOL = 1e-9
 UNITARY_TOL = 1e-10
 
 SIGN_ENUM_CAP = 20
-# Matrix entries held per block of signed sums in the sign enumeration: the
-# block takes max(1, SIGN_BLOCK_ENTRIES // (m·n²)) sign vectors at a time for
-# m difference stacks on dimension n (512 at m = 1, n = 4).
+# Matrix entries held per block of signed sums in the sign enumeration: a
+# block takes the largest power of two of sign vectors within
+# max(1, SIGN_BLOCK_ENTRIES // (m·n²)) for m difference stacks on dimension n
+# (512 at m = 1, n = 4). Exactly-zero differences are dropped first. An
+# enumeration that fits one block is eigensolved whole; a longer one bounds
+# every sum from its trace and Frobenius norm in a pass that holds as many
+# floats per chunk, and eigensolves only the sums whose bound can still win.
 SIGN_BLOCK_ENTRIES = 8192
 
 
@@ -239,36 +243,140 @@ def check_enumerable(p, q):
     return k
 
 
+def _sign_block(start, stop, k):
+    # Sign vectors start … stop−1 of the enumeration, as rows: s_0 = +1, and the
+    # tails follow itertools.product((1, -1), repeat=k - 1).
+    index = np.arange(start, stop)
+    signs = np.ones((len(index), k))
+    signs[:, 1:] -= 2 * ((index[:, None] >> np.arange(k - 2, -1, -1)) & 1)
+    return signs
+
+
+def _scores(sums):
+    # ‖S‖₂ of each Hermitian S in a stack, from one batched eigvalsh; + 0.0 turns
+    # a zero spectrum's −0.0 score into +0.0 and moves no other bit.
+    vals = np.linalg.eigvalsh(sums)
+    return np.maximum(vals[..., -1], -vals[..., 0]) + 0.0
+
+
 def _signed_extremes(deltas):
     """max over sign vectors of ‖Σ_i s_i Δ_i‖, for an (m, k, n, n) stack.
 
     Returns, per stack, the largest |eigenvalue| over s ∈ {±1}^k with
-    s_0 = +1, and the first signed sum that attains it. Sign tails follow
-    ``itertools.product((1, -1), repeat=k - 1)``, a block at a time: one
-    matrix product forms the block's signed sums and one batched eigvalsh
-    scores them. A block holds at most max(SIGN_BLOCK_ENTRIES, m·n²) entries.
+    s_0 = +1, and the first signed sum that attains it. Outcomes whose Δ_i
+    is exactly zero in every stack add nothing to any sum and are dropped
+    first (one is kept if all are), so s_0 is the first outcome kept. Sign
+    tails follow ``itertools.product((1, -1), repeat=k - 1)``, a block at a
+    time, and one matrix product forms a block's signed sums. A block holds
+    at most max(SIGN_BLOCK_ENTRIES, m·n²) entries.
+
+    An enumeration that fits one block is scored whole by one batched
+    eigvalsh. A longer one is branch and bound: Samuelson's inequality
+    bounds ‖S‖₂ ≤ |t|/n + √((n−1)/n · (f − t²/n)) from the trace t = s·τ
+    (τ_i = Re Tr Δ_i) and f = ‖S‖_F² = sᵀGs (G_ij = Re Tr Δ_iΔ_j), with
+    no eigensolve. A first pass keeps each block's largest bound; the
+    second visits blocks from the largest bound down, eigensolves only the
+    rows whose bound plus a rounding slack reaches the running best, and
+    stops once no block left can. A pruned row scores below the best, so
+    the value and the first sum attaining it are those of the full
+    enumeration.
     """
     m, k, n, _ = deltas.shape
+    kept = deltas.reshape(m, k, n * n).any(axis=(0, 2))
+    if not kept.all():
+        kept[0] |= not kept.any()
+        deltas = deltas[:, kept]
+        k = deltas.shape[1]
     # Real and imaginary parts side by side, so the signed sums are one real
     # matrix product; the result views back as complex.
     flat = np.ascontiguousarray(deltas).view(float).reshape(m, k, 2 * n * n)
-    count = 1 << (k - 1)
-    rows = min(count, max(1, SIGN_BLOCK_ENTRIES // (m * n * n)))
-    shifts = np.arange(k - 2, -1, -1)
-    best = np.full(m, -np.inf)
-    winner = np.empty((m, n, n), dtype=complex)
-    for start in range(0, count, rows):
-        index = np.arange(start, min(start + rows, count))
-        signs = np.ones((len(index), k))
-        signs[:, 1:] -= 2 * ((index[:, None] >> shifts) & 1)
-        sums = (signs @ flat).view(complex).reshape(m, len(index), n, n)
-        vals = np.linalg.eigvalsh(sums)
-        # + 0.0 turns a zero spectrum's −0.0 score into +0.0 and moves no other bit.
-        score = np.maximum(vals[..., -1], -vals[..., 0]) + 0.0
+    # A block holds 2^low sign vectors, all that share its head: s_0 = +1 and
+    # the signs of outcomes 1 … h−1 (h = k − low), from the bits of the block
+    # index. Its tail, outcomes h … k−1, runs through all 2^low patterns.
+    low = min(k - 1, max(1, SIGN_BLOCK_ENTRIES // (m * n * n)).bit_length() - 1)
+    h, rows = k - low, 1 << low
+    tail = _sign_block(0, rows, low + 1)[:, 1:]
+    signs = np.hstack([np.ones((rows, h)), tail])
+    stacks = np.arange(m)
+
+    def signed_sums(block):
+        signs[:, :h] = _sign_block(block, block + 1, h)
+        return (signs @ flat).view(complex).reshape(m, rows, n, n)
+
+    if h == 1:
+        sums = signed_sums(0)
+        score = _scores(sums)
         top = score.argmax(axis=1)
-        value = score[np.arange(m), top]
-        better = value > best
+        return score[stacks, top], sums[stacks, top]
+
+    tau = np.trace(deltas, axis1=2, axis2=3).real
+    gram = flat @ flat.transpose(0, 2, 1)
+    t_tail = tau[:, h:] @ tail.T
+    f_tail = ((tail @ gram[:, h:, h:]) * tail).sum(axis=-1)
+
+    def bounds(start, stop):
+        # (m, stop − start, rows) bounds of the sums in blocks start … stop−1:
+        # t and f split into head, tail and head × tail parts.
+        head = _sign_block(start, stop, h)
+        t = (tau[:, :h] @ head.T)[..., None] + t_tail[:, None]
+        f = (
+            ((head @ gram[:, :h, :h]) * head).sum(axis=-1)[..., None]
+            + f_tail[:, None]
+            + 2 * (head @ gram[:, :h, h:]) @ tail.T
+        )
+        return np.abs(t) / n + np.sqrt(np.maximum((n - 1) / n * (f - t * t / n), 0.0))
+
+    # The slack covers rounding, so that a row's computed score never exceeds
+    # its computed bound plus slack. With u the unit roundoff and
+    # F = Σ_i ‖Δ_i‖_F (so |G_ij| sums to at most F² and |τ_i| ≤ √n‖Δ_i‖_F):
+    # - G_ij is a dot product of length 2n², off by ≤ 2n²·u·‖Δ_i‖_F‖Δ_j‖_F;
+    #   f then nests sums of ≤ k terms two deep and adds its three parts, so
+    #   it is off by ≤ (2n² + 2k + 2)·u·F²;
+    # - t is off by ≤ (n + k)·u·√n·F, so t²/n is off by ≤ 2(n + k)·u·F²;
+    # - √ turns the resulting error of ≤ c·u·F² under the root, with
+    #   c = 2n² + 2n + 4k + 2, into ≤ √(c·u)·F on the bound (√(a+e) ≤ √a + √e);
+    # - the rest is linear in u: |t|/n, the k-term sums that form S (‖·‖_F
+    #   error ≤ k·u·F) and eigvalsh's backward error (≤ p(n)·u·‖S‖₂). Each is
+    #   below √u ≈ 1e-8 times the root term, so doubling that term covers them.
+    # At n = 4, k = 16 that is 2.2e-7·F. Products that underflow to subnormals
+    # are off by up to 2^-1075 in absolute terms; the 2k²n² of them in f amount
+    # to far below the absolute 1e-150 under the root.
+    c = 2 * n * n + 2 * n + 4 * k + 2
+    frob = np.sqrt(np.diagonal(gram, axis1=1, axis2=2)).sum(axis=1)
+    slack = 2 * np.sqrt(c * np.finfo(float).eps / 2) * frob + 1e-150
+
+    # Pass 1: each block's largest bound per stack, a chunk of blocks at a
+    # time, so each temporary holds at most max(SIGN_BLOCK_ENTRIES, m·rows) floats.
+    blocks = 1 << (h - 1)
+    chunk = max(1, SIGN_BLOCK_ENTRIES // (m * rows))
+    reach = np.concatenate(
+        [bounds(b, min(b + chunk, blocks)).max(axis=2) for b in range(0, blocks, chunk)],
+        axis=1,
+    )
+    # Pass 2: blocks from the largest bound down; `ahead` is each stack's
+    # largest bound over the blocks not yet visited.
+    order = np.argsort(-reach.max(axis=0), kind="stable")
+    ahead = np.maximum.accumulate(reach[:, order[::-1]], axis=1)[:, ::-1]
+    # Each stack's largest-bound sum in the first block seeds the running best,
+    # so that block is pruned too.
+    top = bounds(order[0], order[0] + 1)[:, 0].argmax(axis=1)
+    winner = signed_sums(order[0])[stacks, top]
+    best, first = _scores(winner), order[0] * rows + top
+    for block, left in zip(order, ahead.T):
+        if (left + slack < best).all():
+            break
+        live = bounds(block, block + 1)[:, 0] + slack[:, None] >= best[:, None]
+        if not live.any():
+            continue
+        sums = signed_sums(block)
+        score = np.full(live.shape, -np.inf)
+        score[live] = _scores(sums[live])
+        top = score.argmax(axis=1)
+        value = score[stacks, top]
+        index = block * rows + top
+        better = (value > best) | ((value == best) & (index < first))
         best[better] = value[better]
+        first[better] = index[better]
         winner[better] = sums[better, top[better]]
     return best, winner
 
@@ -279,11 +387,16 @@ def povm_distance(p, q, return_witness=False):
     The sum of absolute values equals the maximum over sign vectors
     s ∈ {±1}^k of Tr[ρ Σ_i s_i Δ_i], and maximizing a Hermitian expectation
     over states lands on the top eigenvector. Enumerating sign vectors is
-    exact; the global ± symmetry halves the enumeration to 2^(k−1). They are
-    scored in blocks of at most max(SIGN_BLOCK_ENTRIES, n²) matrix entries
-    (512 signed sums at n = 4), one matrix product and one batched eigvalsh
-    per block, so memory does not grow with k. Capped at 20 outcomes; beyond
-    that use :func:`distance_bounds`.
+    exact; the global ± symmetry halves the enumeration to 2^(k−1), and
+    outcomes with P_i = Q_i exactly are dropped first (a swap pair keeps
+    two). Signed sums are formed in blocks of at most
+    max(SIGN_BLOCK_ENTRIES, n²) matrix entries (512 signed sums at n = 4),
+    one matrix product a block, so memory does not grow with k. One block is
+    scored by one batched eigvalsh. More are pruned: a pass with no
+    eigensolve bounds every sum's ‖·‖₂ from its trace and Frobenius norm, and
+    only the sums whose bound can still reach the best are eigensolved
+    (:func:`_signed_extremes`); the value is that of the full enumeration.
+    Capped at 20 outcomes; beyond that use :func:`distance_bounds`.
 
     With `return_witness` the maximizing pure state is returned alongside,
     from one eigh of the winning signed sum.

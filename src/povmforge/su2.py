@@ -143,8 +143,11 @@ def _irrep_from_euler(twice_j, alpha, beta, gamma):
 
 
 def irrep_matrix(j, g):
-    """Spin-j rotation, m-descending basis; its column 0 is the coherent-state oracle."""
-    j = AngularMomentum.coerce(j)
+    """Spin-j rotation, m-descending basis; its column 0 is the coherent-state oracle.
+
+    Refused with CapacityError past the covariant detector's cap, 2j = 2047.
+    """
+    j = _covariant_spin(j)
     return _irrep_from_euler(j.twice_j, *g.euler_angles)
 
 
@@ -319,8 +322,9 @@ def fiurasek_program(psi, n_copies):
 
 
 def _covariant_spin(j):
-    # The covariant detector's cap bounds its matched programs too: they have
-    # no other consumer, and (2j+1)-entry arrays past it are as out of reach.
+    # The covariant detector's cap bounds its matched programs and the dense
+    # irrep, their oracle, too: they have no other consumer, and (2j+1)-entry
+    # arrays past it are as out of reach.
     j = AngularMomentum.coerce(j)
     if j.twice_j > COVARIANT_TWICE_J_CAP:
         raise CapacityError(

@@ -71,6 +71,28 @@ def test_covariant_scan_passes(runner):
     assert float(last[3]) == pytest.approx(2.0 / 6.0)
 
 
+def test_covariant_scan_runs_the_cap_row_alone(runner):
+    result = runner.invoke(
+        main, ["covariant-scan", "--j-min", "2047", "--j-max", "2047", "--targets", "1"]
+    )
+    assert result.exit_code == 0, result.output
+    assert "j_min=2047 j_max=2047 targets=1" in result.output
+    rows = [l for l in result.output.splitlines() if not l.startswith("#")][1:]
+    assert len(rows) == 1
+    twice_j, d, _, theory, _ = rows[0].split(",")
+    assert (twice_j, d) == ("2047", "2048")
+    assert float(theory) == pytest.approx(2.0 / 2048)
+
+
+def test_covariant_scan_rows_do_not_depend_on_j_min(runner):
+    # Targets are drawn per 2j, so a scan from --j-min repeats the full
+    # scan's rows; at the default --j-min the header names only j_max.
+    full = runner.invoke(main, ["covariant-scan", "--j-max", "6"]).output
+    tail = runner.invoke(main, ["covariant-scan", "--j-min", "4", "--j-max", "6"]).output
+    assert "j_min" not in full and "j_min=4 j_max=6" in tail
+    assert full.splitlines()[-3:] == tail.splitlines()[-3:]
+
+
 def test_net_scan_writes_csv_and_json(runner, tmp_path):
     out = tmp_path / "scan.csv"
     result = runner.invoke(
@@ -182,6 +204,9 @@ def test_exact_check_negative_control_rows(runner):
         ["net-scan", "--eps", "0.9", "--eps", "0.9"],
         # Beyond the covariant detector's joint-space cap.
         ["covariant-scan", "--j-max", str(COVARIANT_TWICE_J_CAP + 1)],
+        ["covariant-scan", "--j-min", "5", "--j-max", "4"],
+        ["covariant-scan", "--j-min", "0"],
+        ["covariant-scan", "--j-min", str(COVARIANT_TWICE_J_CAP + 1)],
     ],
 )
 def test_bad_usage_exits_2(runner, args):

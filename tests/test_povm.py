@@ -5,13 +5,20 @@ import warnings
 import numpy as np
 import pytest
 
-from povmforge.detector import IsometryDetector, controlled_unitary_detector
+from povmforge.detector import (
+    Detector,
+    IsometryDetector,
+    controlled_unitary_detector,
+    estimate_accuracy,
+    program,
+)
 from povmforge.linalg import CapacityError, Rng, fro_norm, haar_unitary
 from povmforge.povm import (
     SUM_TOL,
     UNITARY_TOL,
     DensityState,
     Povm,
+    _signed_extremes,
     _unit_vector,
     born_probabilities,
     check_unitaries,
@@ -529,12 +536,49 @@ def loop_distance(p, q):
     return best
 
 
+def exhaustive_extremes(deltas, rows=512):
+    """Reference blocked enumeration of an (m, k, n, n) stack: every signed
+    sum is formed and eigensolved, `rows` sign vectors at a time, and the
+    first one that attains each stack's maximum is kept."""
+    m, k, n, _ = deltas.shape
+    flat = np.ascontiguousarray(deltas).view(float).reshape(m, k, 2 * n * n)
+    count = 1 << (k - 1)
+    shifts = np.arange(k - 2, -1, -1)
+    best = np.full(m, -np.inf)
+    winner = np.empty((m, n, n), dtype=complex)
+    for start in range(0, count, rows):
+        index = np.arange(start, min(start + rows, count))
+        signs = np.ones((len(index), k))
+        signs[:, 1:] -= 2 * ((index[:, None] >> shifts) & 1)
+        sums = (signs @ flat).view(complex).reshape(m, len(index), n, n)
+        vals = np.linalg.eigvalsh(sums)
+        score = np.maximum(vals[..., -1], -vals[..., 0]) + 0.0
+        top = score.argmax(axis=1)
+        value = score[np.arange(m), top]
+        better = value > best
+        best[better] = value[better]
+        winner[better] = sums[better, top[better]]
+    return best, winner
+
+
+def assert_witness_attains(p, q, d, witness):
+    gap = np.abs(np.subtract(born_probabilities(witness, p), born_probabilities(witness, q)))
+    assert abs(gap.sum() - d) <= 1e-12
+
+
 def assert_matches_loop(p, q):
     want = loop_distance(p, q)
     d, witness = povm_distance(p, q, return_witness=True)
     assert abs(d - want) <= 1e-12
-    gap = np.abs(np.subtract(born_probabilities(witness, p), born_probabilities(witness, q)))
-    assert abs(gap.sum() - d) <= 1e-12
+    assert_witness_attains(p, q, d, witness)
+
+
+def assert_matches_exhaustive(p, q):
+    want, _ = exhaustive_extremes((p.effects - q.effects)[None])
+    d, witness = povm_distance(p, q, return_witness=True)
+    assert abs(d - want[0]) <= 1e-12
+    assert_witness_attains(p, q, d, witness)
+    return d
 
 
 # (4, 12) spans four blocks of 512 sign vectors; at n = 91, n² exceeds
@@ -560,12 +604,111 @@ def test_distance_matches_loop_oracle_on_swap_pair():
 def test_distance_maximizer_in_last_block():
     # Δ_0 = A and Δ_i = −A/(k−1): only s = (+1, −1, …, −1), the last sign
     # vector enumerated, reaches δ = 2‖A‖.
-    k = 12
+    k = 16
     a = np.diag([0.04, -0.02, 0.01, -0.03]) + 0.01 * np.eye(4)[::-1]
     q = Povm([np.eye(4) / k] * k)
     p = Povm([np.eye(4) / k + a] + [np.eye(4) / k - a / (k - 1)] * (k - 1))
-    assert_matches_loop(p, q)
+    assert_matches_exhaustive(p, q)
     assert povm_distance(p, q) == pytest.approx(2 * np.linalg.norm(a, 2), abs=1e-12)
+
+
+# Random 16- and 20-outcome pairs on dimension 4, as the benchmark draws them;
+# the pruned enumeration must agree with the exhaustive one.
+@pytest.mark.parametrize("k, seed", [(16, 0), (16, 1), (16, 2), (20, 3)])
+def test_pruned_distance_matches_exhaustive_enumeration(k, seed):
+    rng = Rng(1900 + seed)
+    assert_matches_exhaustive(random_povm(4, k, rng), random_povm(4, k, rng))
+
+
+@pytest.mark.parametrize("rank_one", [False, True])
+def test_pruned_enumeration_where_the_bound_is_tight(rank_one):
+    # Δ_i = c_i·A with A = |v⟩⟨v| − I/n (trace 0) or |v⟩⟨v|: every signed sum
+    # is a multiple of A, whose spectrum meets Samuelson's bound with equality,
+    # so each row's bound is its score and only the slack keeps the winner.
+    n, k = 4, 16
+    g = Rng(1910 + rank_one).generator
+    v = g.standard_normal(n) + 1j * g.standard_normal(n)
+    a = np.outer(v, v.conj()) / np.vdot(v, v).real
+    if not rank_one:
+        a -= np.eye(n) / n
+    deltas = (g.uniform(-1, 1, k)[:, None, None] * a)[None]
+    got, winner = _signed_extremes(deltas)
+    want, first = exhaustive_extremes(deltas)
+    assert abs(got[0] - want[0]) <= 1e-12
+    assert np.abs(winner - first).max() <= 1e-12
+    assert np.abs(np.linalg.eigvalsh(winner[0])).max() == got[0]
+
+
+@pytest.mark.parametrize("seed, n", [(0, 3), (73, 4), (91, 3)])
+def test_pruned_enumeration_keeps_the_first_of_tied_sums(seed, n):
+    # Each Δ_i is (±1, ±2 or ±3)/8 in one diagonal entry, so every signed sum
+    # and its spectrum are exact, many distinct sums tie at the maximum, and
+    # a sum with a single nonzero entry meets its bound with equality. On
+    # these draws a later tied sum lies in a block visited first: the first
+    # one enumerated must still win, which takes a slack of at least zero.
+    g = Rng(seed).generator
+    deltas = np.zeros((1, 16, n, n), dtype=complex)
+    at = g.integers(0, n, 16)
+    deltas[0, np.arange(16), at, at] = g.integers(1, 4, 16) * g.choice([-1, 1], 16) / 8
+    got, winner = _signed_extremes(deltas)
+    want, first = exhaustive_extremes(deltas)
+    assert got[0] == want[0] and np.array_equal(winner, first)
+
+
+def test_pruned_enumeration_eigensolves_few_sums(monkeypatch):
+    solved = []
+
+    def counting(a):
+        solved.append(np.prod(np.shape(a)[:-2], dtype=int))
+        return eigvalsh(a)
+
+    # A random 16-outcome pair eigensolves under an eighth of its 2^15 sums;
+    # a swap pair, with 14 zero Δ_i dropped, its 2.
+    eigvalsh = np.linalg.eigvalsh
+    rng = Rng(1925)
+    p, q = random_povm(4, 16, rng), random_povm(4, 16, rng)
+    order = np.arange(16)
+    order[[2, 9]] = [9, 2]
+    swapped = Povm(p.effects[order])
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    povm_distance(p, q)
+    assert 0 < sum(solved) <= 2**15 // 8
+    solved.clear()
+    povm_distance(p, swapped)
+    assert sum(solved) == 2
+
+
+def test_zero_outcomes_are_dropped_before_enumerating():
+    # P against itself has no nonzero Δ_i; a swap pair has two. Either way the
+    # result equals the full 2^15-sum enumeration's.
+    p = random_povm(4, 16, Rng(1920))
+    d = povm_distance(p, p)
+    assert d == 0.0 and math.copysign(1.0, d) == 1.0
+    order = np.arange(16)
+    order[[3, 11]] = [11, 3]
+    q = Povm(p.effects[order])
+    deltas = (p.effects - q.effects)[None]
+    got, winner = _signed_extremes(deltas)
+    want, first = exhaustive_extremes(deltas)
+    assert got[0] == want[0] and np.array_equal(winner, first)
+    assert assert_matches_exhaustive(p, q) == pytest.approx(
+        2 * np.linalg.norm(p.effects[3] - p.effects[11], 2), abs=1e-12
+    )
+
+
+def test_estimate_accuracy_prunes_a_stack_across_blocks():
+    # Four candidate programs of a 12-outcome detector make an (m, k, n, n) =
+    # (4, 12, 4, 4) stack: 128 sign vectors a block, 16 blocks.
+    rng = Rng(1930)
+    det = Detector(4, 2, random_povm(8, 12, rng))
+    states = [DensityState(np.diag(w)) for w in ((1, 0), (0, 1), (0.5, 0.5), (0.8, 0.2))]
+    targets = [random_povm(4, 12, rng) for _ in range(3)]
+    report = estimate_accuracy(det, targets, states)
+    stack = np.stack([program(det, s).effects for s in states])
+    for target, result in zip(targets, report.per_target):
+        want, _ = exhaustive_extremes(target.effects - stack, rows=128)
+        assert abs(result.delta - want.min()) <= 1e-12
+        assert result.program_index == int(np.argmin(want))
 
 
 def test_sign_enumeration_matches_exhaustive():

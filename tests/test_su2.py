@@ -354,6 +354,15 @@ def test_covariant_cap():
             covariant_qubit_detector(twice_j / 2)
 
 
+def test_irrep_matrix_shares_the_detector_cap():
+    # Past the cap the dense (2j+1)² rotation is refused before any allocation:
+    # at j = 10^6 it would need 29.1 TiB.
+    g = GroupElement.identity()
+    for j in ((COVARIANT_TWICE_J_CAP + 1) / 2, 10**6):
+        with pytest.raises(CapacityError, match="cap"):
+            irrep_matrix(j, g)
+
+
 def test_matched_covariant_programs_share_the_detector_cap():
     # The matched programs feed only the covariant detector, so they stop at
     # its cap rather than allocate (2j+1)-entry arrays it cannot use.
