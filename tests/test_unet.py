@@ -191,6 +191,45 @@ def test_build_net_validation():
         build_net(2, 0.5, 0, Rng(8))
 
 
+@pytest.mark.parametrize(
+    "n,budget,match",
+    [
+        # Not a ZeroDivisionError from the block size, nor numpy's
+        # "negative dimensions" from the draw.
+        (0, 5, "dimension must be positive"),
+        (-1, 5, "dimension must be positive"),
+        (2.0, 5, "dimension must be an integer"),
+        # NaN used to give an empty net, and 2.5 used to run as 3.
+        (2, float("nan"), "budget must be an integer"),
+        (2, 2.5, "budget must be an integer"),
+        (2, 3.0, "budget must be an integer"),
+    ],
+)
+def test_build_net_refuses_bad_arguments_before_drawing(n, budget, match):
+    rng = Rng(1)
+    before = rng.generator.bit_generator.state
+    with pytest.raises(ValueError, match=match):
+        build_net(n, 0.5, budget, rng)
+    assert rng.generator.bit_generator.state == before
+
+
+def test_build_net_takes_numpy_integers():
+    got = build_net(np.int64(2), 0.5, np.int64(40), Rng(8))
+    want = build_net(2, 0.5, 40, Rng(8))
+    assert np.array_equal(got.centers, want.centers)
+    assert got.candidates_tested == want.candidates_tested
+
+
+@pytest.mark.parametrize("samples", [2.5, float("nan"), 10.0])
+def test_certify_coverage_refuses_non_integer_samples(samples):
+    net = UnitaryNet(dim=2, radius=0.5, centers=np.eye(2)[None], seed=0)
+    rng = Rng(1)
+    before = rng.generator.bit_generator.state
+    with pytest.raises(ValueError, match="samples must be an integer"):
+        certify_coverage(net, samples, rng)
+    assert rng.generator.bit_generator.state == before
+
+
 @pytest.mark.parametrize("radius", [float("nan"), float("inf"), float("-inf")])
 def test_build_net_rejects_nonfinite_radius_before_drawing(radius):
     rng = Rng(1)
@@ -374,14 +413,88 @@ def test_pinned_nets_match_sequential_loop(n, radius, budget, seed, size, tested
     assert net.candidates_tested == tested
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_build_net_stopping_at_draw_ends_matches_sequential_loop(n):
+    # At the diameter every draw after the first is rejected, so the stop
+    # lands on draw budget + 1: the last draw of the first Haar call, the
+    # first of the second, and the last of the second.
+    draw = unet._DRAW_BLOCKS * unet._block_size(n)
+    for budget in (draw - 1, draw, 2 * draw - 1):
+        net = assert_same_as_sequential(n, np.sqrt(2 * n), budget, 700 + budget)
+        assert net.candidates_tested == budget + 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("factor", [1.01, 3.0])
+def test_nets_past_the_diameter_match_sequential_loop(n, factor):
+    # Past sqrt(2n) the Gram floor max(n − r²/2, 0)²/n is zero, so every
+    # pair passes the screen and the closed form settles it.
+    radius = factor * np.sqrt(2 * n)
+    for budget in (1, 60):
+        net = assert_same_as_sequential(n, radius, budget, 800 + budget)
+        assert len(net) == 1
+        want_rng, got_rng = Rng(900 + n), Rng(900 + n)
+        hits = sequential_hits(net.centers, radius, 100, want_rng)
+        assert hits == 100
+        assert certify_coverage(net, 100, got_rng) == 1.0
+        assert got_rng.generator.bit_generator.state == want_rng.generator.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_gram_product_is_the_sum_of_squared_overlaps(n):
+    rng = Rng(1000 + n)
+    ws, cs = haar_unitaries(n, 7, rng), haar_unitaries(n, 5, rng)
+    overlaps = np.einsum("aij,kij->aki", ws.conj(), cs)
+    want = (np.abs(overlaps) ** 2).sum(axis=2)
+    got = unet._grams(ws) @ unet._grams(cs).T
+    assert got.shape == (7, 5)
+    assert np.abs(got - want).max() <= 1e-14
+    # Left diagonal phases on either side leave the product unchanged.
+    dws = np.stack([random_phase_diag(n, rng) @ w for w in ws])
+    dcs = np.stack([random_phase_diag(n, rng) @ c for c in cs])
+    assert np.abs(unet._grams(dws) @ unet._grams(dcs).T - want).max() <= 1e-14
+
+
+def fourier_twist(n, distance):
+    # U = F·diag(e^{iα}, e^{−iα}, 1, …)·F† has every diagonal entry equal to
+    # m = (n − 2 + 2 cos α)/n, so U·W sits at quotient distance
+    # sqrt(2n − 2n|m|) from W with all n overlaps of modulus |m|: the pair on
+    # which Cauchy–Schwarz, and so the Gram floor, is tight.
+    m = 1 - distance ** 2 / (2 * n)
+    alpha = np.arccos((n * m - (n - 2)) / 2)
+    phases = np.ones(n, dtype=complex)
+    phases[:2] = np.exp(1j * alpha), np.exp(-1j * alpha)
+    f = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / np.sqrt(n)
+    return f @ np.diag(phases) @ f.conj().T
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("radius", [0.3, 1.0, 1.6])
+def test_gram_screen_never_prunes_a_near_pair(n, radius):
+    rng = Rng(1100 + n)
+    ws = haar_unitaries(n, 12, rng)
+    for scale, near in ((1 - 1e-9, True), (1 + 1e-9, False)):
+        u = fourier_twist(n, radius * scale)
+        for w in ws:
+            c = random_phase_diag(n, rng) @ u @ w
+            got = quotient_distance(w, c)
+            assert abs(got - radius * scale) <= 1e-13
+            # Against the centre alone, the screen and the closed form
+            # must put it within the radius exactly when it is.
+            assert unet._near(
+                w[None], unet._grams(w[None]), c[None], unet._grams(c[None]), radius
+            )[0] == near
+
+
 @pytest.mark.parametrize("n,radius", [(1, 0.5), (2, 0.5), (3, 1.2), (5, 2.2)])
 def test_certify_coverage_matches_sequential_loop(n, radius):
     built = build_net(n, radius, 60, Rng(400 + n))
     # At half the radius a good share of the samples miss.
     halved = UnitaryNet(dim=n, radius=radius / 2, centers=built.centers, seed=0)
     block = unet._block_size(n)
+    draw = unet._DRAW_BLOCKS * block
     for net in (built, halved):
-        for samples in sorted({1, max(block - 1, 1), block + 1, 1000}):
+        for samples in sorted({1, max(block - 1, 1), block + 1, draw - 1, draw + 1, 1000}):
             want_rng, got_rng = Rng(500 + samples), Rng(500 + samples)
             hits = sequential_hits(net.centers, net.radius, samples, want_rng)
             assert certify_coverage(net, samples, got_rng) == hits / samples
