@@ -207,8 +207,9 @@ def estimate_accuracy(f, targets, programs):
 
     An explicit list is programmed once into an (m, k, n, n) effect stack,
     and each target is scored against all m candidates in one run of the
-    blocked sign enumeration of :func:`povm_distance`; a block then holds
-    at most max(SIGN_BLOCK_ENTRIES, m·n²) matrix entries.
+    sign enumeration of :func:`povm_distance`; a block of signed sums then
+    holds at most max(SIGN_BLOCK_ENTRIES, m·n²) matrix entries, and a chunk
+    of bounds SIGN_BLOCK_ENTRIES floats across the m stacks.
     """
     targets = list(targets)
     if not targets:

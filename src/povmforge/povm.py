@@ -21,8 +21,9 @@ SIGN_ENUM_CAP = 20
 # max(1, SIGN_BLOCK_ENTRIES // (m·n²)) for m difference stacks on dimension n
 # (512 at m = 1, n = 4). Exactly-zero differences are dropped first. An
 # enumeration that fits one block is eigensolved whole; a longer one bounds
-# every sum from its trace and Frobenius norm in a pass that holds as many
-# floats per chunk, and eigensolves only the sums whose bound can still win.
+# every sum from its trace and Frobenius norm in chunks of as many floats,
+# each chunk at most twice, and eigensolves only the sums whose bound can
+# still win, at most a block at a time.
 SIGN_BLOCK_ENTRIES = 8192
 
 
@@ -243,10 +244,9 @@ def check_enumerable(p, q):
     return k
 
 
-def _sign_block(start, stop, k):
-    # Sign vectors start … stop−1 of the enumeration, as rows: s_0 = +1, and the
-    # tails follow itertools.product((1, -1), repeat=k - 1).
-    index = np.arange(start, stop)
+def _signs(index, k):
+    # Sign vectors number `index` of the enumeration, as rows: s_0 = +1, and
+    # the tails follow itertools.product((1, -1), repeat=k - 1).
     signs = np.ones((len(index), k))
     signs[:, 1:] -= 2 * ((index[:, None] >> np.arange(k - 2, -1, -1)) & 1)
     return signs
@@ -266,19 +266,26 @@ def _signed_extremes(deltas):
     s_0 = +1, and the first signed sum that attains it. Outcomes whose Δ_i
     is exactly zero in every stack add nothing to any sum and are dropped
     first (one is kept if all are), so s_0 is the first outcome kept. Sign
-    tails follow ``itertools.product((1, -1), repeat=k - 1)``, a block at a
-    time, and one matrix product forms a block's signed sums. A block holds
-    at most max(SIGN_BLOCK_ENTRIES, m·n²) entries.
+    tails follow ``itertools.product((1, -1), repeat=k - 1)``, and matrix
+    products of sign rows with the Δ_i form the signed sums.
 
-    An enumeration that fits one block is scored whole by one batched
-    eigvalsh. A longer one is branch and bound: Samuelson's inequality
-    bounds ‖S‖₂ ≤ |t|/n + √((n−1)/n · (f − t²/n)) from the trace t = s·τ
+    An enumeration that fits one block of max(SIGN_BLOCK_ENTRIES, m·n²)
+    entries is formed whole and scored by one batched eigvalsh. A longer
+    one is branch and bound: Samuelson's inequality bounds
+    ‖S‖₂ ≤ |t|/n + √((n−1)/n · (f − t²/n)) from the trace t = s·τ
     (τ_i = Re Tr Δ_i) and f = ‖S‖_F² = sᵀGs (G_ij = Re Tr Δ_iΔ_j), with
-    no eigensolve. A first pass keeps each block's largest bound; the
-    second visits blocks from the largest bound down, eigensolves only the
-    rows whose bound plus a rounding slack reaches the running best, and
-    stops once no block left can. A pruned row scores below the best, so
-    the value and the first sum attaining it are those of the full
+    no eigensolve, in chunks of whole blocks that hold at most
+    max(SIGN_BLOCK_ENTRIES, m·block) bounds. Pass A walks the chunks once,
+    keeps each chunk's largest bound per stack and eigensolves those sums,
+    one a chunk and stack, in one batch, so the running best starts from
+    a real score. Pass B visits the chunks from the largest bound down and
+    skips any whose largest bound plus a rounding slack falls below the
+    best. Otherwise it recomputes the chunk's bounds and keeps the rows
+    that can still reach the best; per stack it forms and eigensolves
+    them largest bound first, in batches of 16, 64, 256 … capped at a
+    block, and filters the rest again after each batch. A pruned row
+    scores below the best, so the value and the first sum attaining it
+    (ties go to the lowest enumeration index) are those of the full
     enumeration.
     """
     m, k, n, _ = deltas.shape
@@ -295,36 +302,35 @@ def _signed_extremes(deltas):
     # index. Its tail, outcomes h … k−1, runs through all 2^low patterns.
     low = min(k - 1, max(1, SIGN_BLOCK_ENTRIES // (m * n * n)).bit_length() - 1)
     h, rows = k - low, 1 << low
-    tail = _sign_block(0, rows, low + 1)[:, 1:]
-    signs = np.hstack([np.ones((rows, h)), tail])
     stacks = np.arange(m)
 
-    def signed_sums(block):
-        signs[:, :h] = _sign_block(block, block + 1, h)
-        return (signs @ flat).view(complex).reshape(m, rows, n, n)
-
     if h == 1:
-        sums = signed_sums(0)
+        sums = (_signs(np.arange(rows), k) @ flat).view(complex).reshape(m, rows, n, n)
         score = _scores(sums)
         top = score.argmax(axis=1)
         return score[stacks, top], sums[stacks, top]
 
+    tail = _signs(np.arange(rows), low + 1)[:, 1:]
     tau = np.trace(deltas, axis1=2, axis2=3).real
     gram = flat @ flat.transpose(0, 2, 1)
     t_tail = tau[:, h:] @ tail.T
     f_tail = ((tail @ gram[:, h:, h:]) * tail).sum(axis=-1)
+    blocks = 1 << (h - 1)
+    per = max(1, SIGN_BLOCK_ENTRIES // (m * rows))
+    starts = range(0, blocks, per)
 
-    def bounds(start, stop):
-        # (m, stop − start, rows) bounds of the sums in blocks start … stop−1:
-        # t and f split into head, tail and head × tail parts.
-        head = _sign_block(start, stop, h)
+    def bounds(chunk):
+        # (m, per·rows) bounds of the sums in one chunk of blocks: t and f
+        # split into head, tail and head × tail parts.
+        head = _signs(np.arange(starts[chunk], min(starts[chunk] + per, blocks)), h)
         t = (tau[:, :h] @ head.T)[..., None] + t_tail[:, None]
         f = (
             ((head @ gram[:, :h, :h]) * head).sum(axis=-1)[..., None]
             + f_tail[:, None]
             + 2 * (head @ gram[:, :h, h:]) @ tail.T
         )
-        return np.abs(t) / n + np.sqrt(np.maximum((n - 1) / n * (f - t * t / n), 0.0))
+        b = np.abs(t) / n + np.sqrt(np.maximum((n - 1) / n * (f - t * t / n), 0.0))
+        return b.reshape(m, -1)
 
     # The slack covers rounding, so that a row's computed score never exceeds
     # its computed bound plus slack. With u the unit roundoff and
@@ -345,39 +351,46 @@ def _signed_extremes(deltas):
     frob = np.sqrt(np.diagonal(gram, axis1=1, axis2=2)).sum(axis=1)
     slack = 2 * np.sqrt(c * np.finfo(float).eps / 2) * frob + 1e-150
 
-    # Pass 1: each block's largest bound per stack, a chunk of blocks at a
-    # time, so each temporary holds at most max(SIGN_BLOCK_ENTRIES, m·rows) floats.
-    blocks = 1 << (h - 1)
-    chunk = max(1, SIGN_BLOCK_ENTRIES // (m * rows))
-    reach = np.concatenate(
-        [bounds(b, min(b + chunk, blocks)).max(axis=2) for b in range(0, blocks, chunk)],
-        axis=1,
-    )
-    # Pass 2: blocks from the largest bound down; `ahead` is each stack's
-    # largest bound over the blocks not yet visited.
-    order = np.argsort(-reach.max(axis=0), kind="stable")
-    ahead = np.maximum.accumulate(reach[:, order[::-1]], axis=1)[:, ::-1]
-    # Each stack's largest-bound sum in the first block seeds the running best,
-    # so that block is pruned too.
-    top = bounds(order[0], order[0] + 1)[:, 0].argmax(axis=1)
-    winner = signed_sums(order[0])[stacks, top]
-    best, first = _scores(winner), order[0] * rows + top
-    for block, left in zip(order, ahead.T):
-        if (left + slack < best).all():
-            break
-        live = bounds(block, block + 1)[:, 0] + slack[:, None] >= best[:, None]
+    # Pass A: each chunk's largest bound per stack, and the score of its sum.
+    top = np.empty((m, len(starts)))
+    pick = np.empty((m, len(starts)), dtype=np.int64)
+    for chunk, start in enumerate(starts):
+        b = bounds(chunk)
+        at = b.argmax(axis=1)
+        top[:, chunk] = b[stacks, at]
+        pick[:, chunk] = start * rows + at
+    sums = (_signs(pick.ravel(), k).reshape(m, -1, k) @ flat).view(complex)
+    sums = sums.reshape(m, -1, n, n)
+    score = _scores(sums)
+    # Picks ascend along each row, so the first maximum is the first enumerated.
+    at = score.argmax(axis=1)
+    best, first, winner = score[stacks, at], pick[stacks, at], sums[stacks, at]
+
+    # Pass B: chunks from the largest bound down.
+    for chunk in np.argsort(-top.max(axis=0), kind="stable"):
+        live = top[:, chunk] + slack >= best
         if not live.any():
             continue
-        sums = signed_sums(block)
-        score = np.full(live.shape, -np.inf)
-        score[live] = _scores(sums[live])
-        top = score.argmax(axis=1)
-        value = score[stacks, top]
-        index = block * rows + top
-        better = (value > best) | ((value == best) & (index < first))
-        best[better] = value[better]
-        first[better] = index[better]
-        winner[better] = sums[better, top[better]]
+        b = bounds(chunk)
+        for s in stacks[live]:
+            # Largest bound first; the first row, the one pass A scored, is dropped.
+            keep = np.flatnonzero(b[s] + slack[s] >= best[s])
+            keep = keep[np.argsort(-b[s, keep], kind="stable")][1:]
+            ceiling = b[s, keep] + slack[s]
+            index = starts[chunk] * rows + keep
+            pos, size = 0, 16
+            while pos < len(index):
+                batch = index[pos : pos + size][ceiling[pos : pos + size] >= best[s]]
+                if not len(batch):
+                    break
+                sums = (_signs(batch, k) @ flat[s]).view(complex).reshape(-1, n, n)
+                score = _scores(sums)
+                at = np.flatnonzero(score == score.max())
+                at = at[batch[at].argmin()]
+                if score[at] > best[s] or (score[at] == best[s] and batch[at] < first[s]):
+                    best[s], first[s], winner[s] = score[at], batch[at], sums[at]
+                pos += size
+                size = min(4 * size, rows)
     return best, winner
 
 
@@ -389,14 +402,16 @@ def povm_distance(p, q, return_witness=False):
     over states lands on the top eigenvector. Enumerating sign vectors is
     exact; the global ± symmetry halves the enumeration to 2^(k−1), and
     outcomes with P_i = Q_i exactly are dropped first (a swap pair keeps
-    two). Signed sums are formed in blocks of at most
-    max(SIGN_BLOCK_ENTRIES, n²) matrix entries (512 signed sums at n = 4),
-    one matrix product a block, so memory does not grow with k. One block is
-    scored by one batched eigvalsh. More are pruned: a pass with no
-    eigensolve bounds every sum's ‖·‖₂ from its trace and Frobenius norm, and
-    only the sums whose bound can still reach the best are eigensolved
-    (:func:`_signed_extremes`); the value is that of the full enumeration.
-    Capped at 20 outcomes; beyond that use :func:`distance_bounds`.
+    two). An enumeration that fits one block of max(SIGN_BLOCK_ENTRIES, n²)
+    matrix entries (512 signed sums at n = 4) is formed by one matrix
+    product and scored by one batched eigvalsh. A longer one is pruned
+    (:func:`_signed_extremes`): every sum's ‖·‖₂ is bounded from its trace
+    and Frobenius norm, with no eigensolve, in chunks of SIGN_BLOCK_ENTRIES
+    bounds. A first pass scores each chunk's best-bound sum; a second visits
+    the chunks best bound first and forms and eigensolves only the sums
+    whose bound can still reach the best, so memory does not grow with k.
+    The value is that of the full enumeration. Capped at 20 outcomes;
+    beyond that use :func:`distance_bounds`.
 
     With `return_witness` the maximizing pure state is returned alongside,
     from one eigh of the winning signed sum.
@@ -423,9 +438,13 @@ def two_outcome_distance(p, q):
 
 
 def distance_bounds(p, q):
-    """Upper bounds (Σ_i ‖Δ_i‖, Σ_i ‖Δ_i‖₂) on the measurement distance."""
+    """Upper bounds (Σ_i ‖Δ_i‖, Σ_i ‖Δ_i‖₂) on the measurement distance.
+
+    Stored effects are Hermitian, so each Δ_i is too, and one batched
+    eigvalsh gives every ‖Δ_i‖.
+    """
     _check_comparable(p, q)
     deltas = p.effects - q.effects
-    sum_op = np.linalg.norm(deltas, 2, axis=(1, 2)).sum()
+    sum_op = _scores(deltas).sum()
     sum_fro = np.linalg.norm(deltas, axis=(1, 2)).sum()
     return float(sum_op), float(sum_fro)

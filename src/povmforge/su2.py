@@ -261,7 +261,11 @@ def _dicke_factors(num_qubits):
         raise CapacityError(
             f"{num_qubits} qubits exceeds the 2^N memory cap ({SYMMETRIC_QUBIT_CAP})"
         )
-    cols = np.array([a.bit_count() for a in range(2 ** num_qubits)])
+    # popcount by doubling: the indices with a new top bit set repeat the
+    # counts below them, plus one.
+    cols = np.zeros(1, dtype=np.int64)
+    for _ in range(num_qubits):
+        cols = np.concatenate([cols, cols + 1])
     return cols, (1 / np.sqrt(np.bincount(cols)))[cols]
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -508,6 +509,22 @@ def test_bound_chain_on_random_observables():
         assert sum_op <= sum_fro + 1e-9
 
 
+@pytest.mark.parametrize("n, k, seed", [(2, 2, 0), (3, 5, 1), (4, 16, 2), (8, 6, 3)])
+def test_distance_bounds_operator_norms_match_svd(n, k, seed):
+    # The eigvalsh norms of the Hermitian Δ_i agree with the SVD ones, and
+    # the chain δ ≤ Σ‖Δ‖ ≤ Σ‖Δ‖₂ holds.
+    rng = Rng(1960 + seed)
+    p, q = random_povm(n, k, rng), random_povm(n, k, rng)
+    sum_op, sum_fro = distance_bounds(p, q)
+    svd = np.linalg.norm(p.effects - q.effects, 2, axis=(1, 2)).sum()
+    assert abs(sum_op - svd) <= 1e-14 * svd
+    assert povm_distance(p, q) <= sum_op <= sum_fro
+    swapped = Povm(p.effects[::-1])
+    sum_op, _ = distance_bounds(p, swapped)
+    svd = np.linalg.norm(p.effects - swapped.effects, 2, axis=(1, 2)).sum()
+    assert abs(sum_op - svd) <= 1e-14 * svd
+
+
 def test_jensen_with_ambient_frobenius():
     # Observable distance never beats sqrt(2n) times the unitary gap.
     rng = Rng(71)
@@ -639,13 +656,15 @@ def test_pruned_enumeration_where_the_bound_is_tight(rank_one):
     assert np.abs(np.linalg.eigvalsh(winner[0])).max() == got[0]
 
 
-@pytest.mark.parametrize("seed, n", [(0, 3), (73, 4), (91, 3)])
+@pytest.mark.parametrize("seed, n", [(0, 3), (73, 4), (91, 3), (81, 3)])
 def test_pruned_enumeration_keeps_the_first_of_tied_sums(seed, n):
     # Each Δ_i is (±1, ±2 or ±3)/8 in one diagonal entry, so every signed sum
     # and its spectrum are exact, many distinct sums tie at the maximum, and
     # a sum with a single nonzero entry meets its bound with equality. On
     # these draws a later tied sum lies in a block visited first: the first
     # one enumerated must still win, which takes a slack of at least zero.
+    # At seed 81 the first tied sum's computed bound falls below its score,
+    # so it survives only by the slack.
     g = Rng(seed).generator
     deltas = np.zeros((1, 16, n, n), dtype=complex)
     at = g.integers(0, n, 16)
@@ -662,7 +681,7 @@ def test_pruned_enumeration_eigensolves_few_sums(monkeypatch):
         solved.append(np.prod(np.shape(a)[:-2], dtype=int))
         return eigvalsh(a)
 
-    # A random 16-outcome pair eigensolves under an eighth of its 2^15 sums;
+    # A random 16-outcome pair eigensolves at most 867 of its 2^15 sums;
     # a swap pair, with 14 zero Δ_i dropped, its 2.
     eigvalsh = np.linalg.eigvalsh
     rng = Rng(1925)
@@ -672,10 +691,62 @@ def test_pruned_enumeration_eigensolves_few_sums(monkeypatch):
     swapped = Povm(p.effects[order])
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     povm_distance(p, q)
-    assert 0 < sum(solved) <= 2**15 // 8
+    assert 0 < sum(solved) <= 867
     solved.clear()
     povm_distance(p, swapped)
     assert sum(solved) == 2
+
+
+def test_pruned_enumeration_eigensolves_few_sums_at_the_cap(monkeypatch):
+    # A random 20-outcome pair eigensolves at most 3079 of its 2^19 sums.
+    solved = []
+
+    def counting(a):
+        solved.append(np.prod(np.shape(a)[:-2], dtype=int))
+        return eigvalsh(a)
+
+    eigvalsh = np.linalg.eigvalsh
+    rng = Rng(1903)
+    p, q = random_povm(4, 20, rng), random_povm(4, 20, rng)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    povm_distance(p, q)
+    assert 0 < sum(solved) <= 3079
+
+
+def test_pruned_enumeration_memory_at_the_cap():
+    # Bounds, survivors and signed sums are held a chunk or a block at a time:
+    # a 20-outcome call on dimension 4 peaks well under 1 MiB.
+    rng = Rng(1903)
+    p, q = random_povm(4, 20, rng), random_povm(4, 20, rng)
+    tracemalloc.start()
+    try:
+        povm_distance(p, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+
+
+def bench_povm(g, k, n=4):
+    # Random POVM as the distance benchmark draws it: the G G† parts,
+    # normalized by the inverse square root of their sum, then symmetrized.
+    z = g.standard_normal((k, n, n)) + 1j * g.standard_normal((k, n, n))
+    parts = z @ z.conj().transpose(0, 2, 1)
+    w, v = np.linalg.eigh(parts.sum(axis=0))
+    isq = (v / np.sqrt(w)) @ v.conj().T
+    e = isq @ parts @ isq
+    return Povm((e + e.conj().transpose(0, 2, 1)) / 2)
+
+
+# k = 16 spans four chunks of 8192 bounds, k = 20 sixty-four.
+@pytest.mark.parametrize("k, seed", [(16, 0), (16, 1), (16, 2), (16, 3), (20, 0), (20, 1)])
+def test_chunked_enumeration_matches_exhaustive_bit_for_bit(k, seed):
+    g = np.random.default_rng([1950, k, seed])
+    p, q = bench_povm(g, k), bench_povm(g, k)
+    deltas = (p.effects - q.effects)[None]
+    got, winner = _signed_extremes(deltas)
+    want, first = exhaustive_extremes(deltas)
+    assert got[0] == want[0] and np.array_equal(winner, first)
 
 
 def test_zero_outcomes_are_dropped_before_enumerating():
@@ -708,6 +779,23 @@ def test_estimate_accuracy_prunes_a_stack_across_blocks():
     for target, result in zip(targets, report.per_target):
         want, _ = exhaustive_extremes(target.effects - stack, rows=128)
         assert abs(result.delta - want.min()) <= 1e-12
+        assert result.program_index == int(np.argmin(want))
+
+
+def test_estimate_accuracy_prunes_a_stack_across_chunks():
+    # Two candidate programs of a 16-outcome detector make a (2, 16, 4, 4)
+    # stack: 256 sign vectors a block, 16 blocks a chunk, 8 chunks.
+    rng = Rng(1931)
+    det = Detector(4, 2, random_povm(8, 16, rng))
+    states = [DensityState(np.diag(w)) for w in ((1, 0), (0.3, 0.7))]
+    targets = [random_povm(4, 16, rng) for _ in range(3)]
+    report = estimate_accuracy(det, targets, states)
+    stack = np.stack([program(det, s).effects for s in states])
+    for target, result in zip(targets, report.per_target):
+        got, winner = _signed_extremes(target.effects - stack)
+        want, first = exhaustive_extremes(target.effects - stack, rows=256)
+        assert np.array_equal(got, want) and np.array_equal(winner, first)
+        assert result.delta == want.min()
         assert result.program_index == int(np.argmin(want))
 
 

@@ -20,6 +20,7 @@ from povmforge.su2 import (
     AngularMomentum,
     GroupElement,
     _coherent_amplitudes,
+    _dicke_factors,
     clebsch_gordan,
     compose,
     coupling_isometry,
@@ -268,6 +269,14 @@ def test_dicke_states():
     assert np.count_nonzero(v) == 10
     with pytest.raises(ValueError):
         dicke_state(2, 3)
+
+
+@pytest.mark.parametrize("num_qubits", range(1, SYMMETRIC_QUBIT_CAP + 1))
+def test_dicke_columns_are_popcounts(num_qubits):
+    cols, weights = _dicke_factors(num_qubits)
+    assert cols.dtype == np.int64
+    assert np.array_equal(cols, [a.bit_count() for a in range(2**num_qubits)])
+    assert np.array_equal(weights, 1 / np.sqrt([math.comb(num_qubits, c) for c in cols]))
 
 
 def test_dicke_state_cap():
