@@ -205,15 +205,19 @@ def estimate_accuracy(f, targets, programs):
     only part of the ancilla state space; for constructions with matched
     programs it is exact.
 
+    Targets must share the detector's dimension and outcome count.
+
     An explicit list is programmed once into an (m, k, n, n) effect stack,
-    and each target is scored against all m candidates in one run of the
-    sign enumeration of :func:`povm_distance`; a block of signed sums then
-    holds at most max(SIGN_BLOCK_ENTRIES, m·n²) matrix entries, and a chunk
-    of bounds SIGN_BLOCK_ENTRIES floats across the m stacks.
+    and each target is scored against it by the sign enumeration of
+    :func:`povm_distance`: up to SIGN_BLOCK_ENTRIES // (n²·2^(k−1))
+    candidates share a block of signed sums; a longer enumeration runs on
+    one candidate at a time.
     """
     targets = list(targets)
     if not targets:
         raise ValueError("need at least one target")
+    if any((t.dim, len(t)) != (f.sys_dim, f.outcomes) for t in targets):
+        raise ValueError(f"targets must have dimension {f.sys_dim} and {f.outcomes} outcomes")
 
     states = None
     if not callable(programs):

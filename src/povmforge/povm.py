@@ -16,14 +16,11 @@ SUM_TOL = 1e-9
 UNITARY_TOL = 1e-10
 
 SIGN_ENUM_CAP = 20
-# Matrix entries held per block of signed sums in the sign enumeration: a
-# block takes the largest power of two of sign vectors within
-# max(1, SIGN_BLOCK_ENTRIES // (m·n²)) for m difference stacks on dimension n
-# (512 at m = 1, n = 4). Exactly-zero differences are dropped first. An
-# enumeration that fits one block is eigensolved whole; a longer one bounds
-# every sum from its trace and Frobenius norm in chunks of as many floats,
-# each chunk at most twice, and eigensolves only the sums whose bound can
-# still win, at most a block at a time.
+# Matrix entries per block of signed sums in the sign enumeration. Stacks
+# whose whole enumerations fit one block share it; a longer enumeration runs
+# alone, on blocks of the largest power of two of sign vectors within
+# max(1, SIGN_BLOCK_ENTRIES // n²) (512 at n = 4), bounding its sums in chunks
+# of as many floats and eigensolving only those that can still win.
 SIGN_BLOCK_ENTRIES = 8192
 
 
@@ -269,24 +266,24 @@ def _signed_extremes(deltas):
     tails follow ``itertools.product((1, -1), repeat=k - 1)``, and matrix
     products of sign rows with the Δ_i form the signed sums.
 
-    An enumeration that fits one block of max(SIGN_BLOCK_ENTRIES, m·n²)
-    entries is formed whole and scored by one batched eigvalsh. A longer
-    one is branch and bound: Samuelson's inequality bounds
-    ‖S‖₂ ≤ |t|/n + √((n−1)/n · (f − t²/n)) from the trace t = s·τ
-    (τ_i = Re Tr Δ_i) and f = ‖S‖_F² = sᵀGs (G_ij = Re Tr Δ_iΔ_j), with
-    no eigensolve, in chunks of whole blocks that hold at most
-    max(SIGN_BLOCK_ENTRIES, m·block) bounds. Pass A walks the chunks once,
-    keeps each chunk's largest bound per stack and eigensolves those sums,
-    one a chunk and stack, in one batch, so the running best starts from
-    a real score. Pass B visits the chunks from the largest bound down and
-    skips any whose largest bound plus a rounding slack falls below the
-    best. Otherwise it recomputes the chunk's bounds and keeps the rows
-    that can still reach the best; per stack it forms and eigensolves
-    them largest bound first, in batches of 16, 64, 256 … capped at a
-    block, and filters the rest again after each batch. A pruned row
-    scores below the best, so the value and the first sum attaining it
-    (ties go to the lowest enumeration index) are those of the full
-    enumeration.
+    Stacks share a block only where their whole enumerations fit it: the
+    call runs on groups of max(1, SIGN_BLOCK_ENTRIES // (n²·2^(k−1)))
+    stacks, each group's sums formed whole and scored by one batched
+    eigvalsh. A longer enumeration runs alone, by branch and bound:
+    Samuelson's inequality bounds ‖S‖₂ ≤ |t|/n + √((n−1)/n · (f − t²/n))
+    from t = s·τ (τ_i = Re Tr Δ_i) and f = ‖S‖_F² = sᵀGs (G_ij = Re Tr Δ_iΔ_j)
+    with no eigensolve, in chunks of at most max(SIGN_BLOCK_ENTRIES, block)
+    bounds. Pass A eigensolves each chunk's largest-bound sum, so the best
+    starts from a real score. Pass B visits the chunks from the largest
+    bound down while that bound plus a rounding slack reaches the best,
+    recomputes the chunk's bounds, and eigensolves the rows that can still
+    reach the best, largest bound first, in batches of 16, 64, 256 … capped
+    at a block, filtering again after each batch. A pruned row scores below
+    the best, so the maximizing sign vector (the first enumerated, on ties)
+    is the full enumeration's. That sum's rounding depends on the number of
+    sign rows in the product forming it: it is the full enumeration's
+    within 2k·u·Σ_i‖Δ_i‖_F in ‖·‖_F (u the unit roundoff), and so is the
+    value up to eigvalsh's rounding; every n = 4 case checked is bit for bit.
     """
     m, k, n, _ = deltas.shape
     kept = deltas.reshape(m, k, n * n).any(axis=(0, 2))
@@ -294,6 +291,10 @@ def _signed_extremes(deltas):
         kept[0] |= not kept.any()
         deltas = deltas[:, kept]
         k = deltas.shape[1]
+    group = max(1, SIGN_BLOCK_ENTRIES // (n * n << (k - 1)))
+    if m > group:
+        parts = [_signed_extremes(deltas[i : i + group]) for i in range(0, m, group)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
     # Real and imaginary parts side by side, so the signed sums are one real
     # matrix product; the result views back as complex.
     flat = np.ascontiguousarray(deltas).view(float).reshape(m, k, 2 * n * n)
@@ -302,35 +303,35 @@ def _signed_extremes(deltas):
     # index. Its tail, outcomes h … k−1, runs through all 2^low patterns.
     low = min(k - 1, max(1, SIGN_BLOCK_ENTRIES // (m * n * n)).bit_length() - 1)
     h, rows = k - low, 1 << low
-    stacks = np.arange(m)
 
     if h == 1:
         sums = (_signs(np.arange(rows), k) @ flat).view(complex).reshape(m, rows, n, n)
         score = _scores(sums)
-        top = score.argmax(axis=1)
-        return score[stacks, top], sums[stacks, top]
+        at = np.arange(m), score.argmax(axis=1)
+        return score[at], sums[at]
 
+    # Branch and bound, on the one stack of this call.
+    flat, tau = flat[0], np.trace(deltas[0], axis1=1, axis2=2).real
     tail = _signs(np.arange(rows), low + 1)[:, 1:]
-    tau = np.trace(deltas, axis1=2, axis2=3).real
-    gram = flat @ flat.transpose(0, 2, 1)
-    t_tail = tau[:, h:] @ tail.T
-    f_tail = ((tail @ gram[:, h:, h:]) * tail).sum(axis=-1)
+    gram = flat @ flat.T
+    t_tail = tau[h:] @ tail.T
+    f_tail = ((tail @ gram[h:, h:]) * tail).sum(axis=-1)
     blocks = 1 << (h - 1)
-    per = max(1, SIGN_BLOCK_ENTRIES // (m * rows))
+    per = max(1, SIGN_BLOCK_ENTRIES // rows)
     starts = range(0, blocks, per)
 
     def bounds(chunk):
-        # (m, per·rows) bounds of the sums in one chunk of blocks: t and f
+        # The per·rows bounds of the sums in one chunk of blocks: t and f
         # split into head, tail and head × tail parts.
         head = _signs(np.arange(starts[chunk], min(starts[chunk] + per, blocks)), h)
-        t = (tau[:, :h] @ head.T)[..., None] + t_tail[:, None]
+        t = (tau[:h] @ head.T)[:, None] + t_tail
         f = (
-            ((head @ gram[:, :h, :h]) * head).sum(axis=-1)[..., None]
-            + f_tail[:, None]
-            + 2 * (head @ gram[:, :h, h:]) @ tail.T
+            ((head @ gram[:h, :h]) * head).sum(axis=-1)[:, None]
+            + f_tail
+            + 2 * (head @ gram[:h, h:]) @ tail.T
         )
         b = np.abs(t) / n + np.sqrt(np.maximum((n - 1) / n * (f - t * t / n), 0.0))
-        return b.reshape(m, -1)
+        return b.ravel()
 
     # The slack covers rounding, so that a row's computed score never exceeds
     # its computed bound plus slack. With u the unit roundoff and
@@ -348,50 +349,46 @@ def _signed_extremes(deltas):
     # are off by up to 2^-1075 in absolute terms; the 2k²n² of them in f amount
     # to far below the absolute 1e-150 under the root.
     c = 2 * n * n + 2 * n + 4 * k + 2
-    frob = np.sqrt(np.diagonal(gram, axis1=1, axis2=2)).sum(axis=1)
+    frob = np.sqrt(np.diagonal(gram)).sum()
     slack = 2 * np.sqrt(c * np.finfo(float).eps / 2) * frob + 1e-150
 
-    # Pass A: each chunk's largest bound per stack, and the score of its sum.
-    top = np.empty((m, len(starts)))
-    pick = np.empty((m, len(starts)), dtype=np.int64)
+    # Pass A: each chunk's largest bound, and the score of its sum.
+    top = np.empty(len(starts))
+    pick = np.empty(len(starts), dtype=np.int64)
     for chunk, start in enumerate(starts):
         b = bounds(chunk)
-        at = b.argmax(axis=1)
-        top[:, chunk] = b[stacks, at]
-        pick[:, chunk] = start * rows + at
-    sums = (_signs(pick.ravel(), k).reshape(m, -1, k) @ flat).view(complex)
-    sums = sums.reshape(m, -1, n, n)
+        at = b.argmax()
+        top[chunk], pick[chunk] = b[at], start * rows + at
+    sums = (_signs(pick, k) @ flat).view(complex).reshape(-1, n, n)
     score = _scores(sums)
-    # Picks ascend along each row, so the first maximum is the first enumerated.
-    at = score.argmax(axis=1)
-    best, first, winner = score[stacks, at], pick[stacks, at], sums[stacks, at]
+    # Picks ascend, so the first maximum is the first enumerated.
+    at = score.argmax()
+    best, first, winner = score[at], pick[at], sums[at]
 
     # Pass B: chunks from the largest bound down.
-    for chunk in np.argsort(-top.max(axis=0), kind="stable"):
-        live = top[:, chunk] + slack >= best
-        if not live.any():
-            continue
+    for chunk in np.argsort(-top, kind="stable"):
+        if top[chunk] + slack < best:
+            break
         b = bounds(chunk)
-        for s in stacks[live]:
-            # Largest bound first; the first row, the one pass A scored, is dropped.
-            keep = np.flatnonzero(b[s] + slack[s] >= best[s])
-            keep = keep[np.argsort(-b[s, keep], kind="stable")][1:]
-            ceiling = b[s, keep] + slack[s]
-            index = starts[chunk] * rows + keep
-            pos, size = 0, 16
-            while pos < len(index):
-                batch = index[pos : pos + size][ceiling[pos : pos + size] >= best[s]]
-                if not len(batch):
-                    break
-                sums = (_signs(batch, k) @ flat[s]).view(complex).reshape(-1, n, n)
-                score = _scores(sums)
-                at = np.flatnonzero(score == score.max())
-                at = at[batch[at].argmin()]
-                if score[at] > best[s] or (score[at] == best[s] and batch[at] < first[s]):
-                    best[s], first[s], winner[s] = score[at], batch[at], sums[at]
-                pos += size
-                size = min(4 * size, rows)
-    return best, winner
+        # Largest bound first; the first row, the one pass A scored, is dropped.
+        keep = np.flatnonzero(b + slack >= best)
+        keep = keep[np.argsort(-b[keep], kind="stable")][1:]
+        ceiling = b[keep] + slack
+        index = starts[chunk] * rows + keep
+        pos, size = 0, 16
+        while pos < len(index):
+            batch = index[pos : pos + size][ceiling[pos : pos + size] >= best]
+            if not len(batch):
+                break
+            sums = (_signs(batch, k) @ flat).view(complex).reshape(-1, n, n)
+            score = _scores(sums)
+            at = np.flatnonzero(score == score.max())
+            at = at[batch[at].argmin()]
+            if score[at] > best or (score[at] == best and batch[at] < first):
+                best, first, winner = score[at], batch[at], sums[at]
+            pos += size
+            size = min(4 * size, rows)
+    return np.array([best]), winner[None]
 
 
 def povm_distance(p, q, return_witness=False):
@@ -402,16 +399,13 @@ def povm_distance(p, q, return_witness=False):
     over states lands on the top eigenvector. Enumerating sign vectors is
     exact; the global ± symmetry halves the enumeration to 2^(k−1), and
     outcomes with P_i = Q_i exactly are dropped first (a swap pair keeps
-    two). An enumeration that fits one block of max(SIGN_BLOCK_ENTRIES, n²)
-    matrix entries (512 signed sums at n = 4) is formed by one matrix
-    product and scored by one batched eigvalsh. A longer one is pruned
-    (:func:`_signed_extremes`): every sum's ‖·‖₂ is bounded from its trace
-    and Frobenius norm, with no eigensolve, in chunks of SIGN_BLOCK_ENTRIES
-    bounds. A first pass scores each chunk's best-bound sum; a second visits
-    the chunks best bound first and forms and eigensolves only the sums
-    whose bound can still reach the best, so memory does not grow with k.
-    The value is that of the full enumeration. Capped at 20 outcomes;
-    beyond that use :func:`distance_bounds`.
+    two). An enumeration that fits one block (512 signed sums at n = 4) is
+    formed by one matrix product and eigensolved whole; a longer one is
+    branch and bound (:func:`_signed_extremes`), which eigensolves only the
+    sums whose bound from their trace and Frobenius norm can still win, so
+    memory does not grow with k. The maximizing sign vector is the full
+    enumeration's, and δ is too up to the rounding of its one signed sum.
+    Capped at 20 outcomes; beyond that use :func:`distance_bounds`.
 
     With `return_witness` the maximizing pure state is returned alongside,
     from one eigh of the winning signed sum.

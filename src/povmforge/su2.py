@@ -375,6 +375,8 @@ def _sharp_rule(state):
     # A sharp target's first effect is rank 1 (and stored exactly Hermitian,
     # as every Povm's is): program its top eigenvector.
     def rule(target):
+        if target.dim != 2:
+            raise ValueError(f"matched rules program qubit targets, not dimension {target.dim}")
         _, vecs = np.linalg.eigh(target.effects[0])
         return state(vecs[:, -1])
 

@@ -446,6 +446,32 @@ def test_estimate_accuracy_list_matches_per_state_distances(case):
         assert abs(r.delta - deltas[k]) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "det, rule",
+    [
+        (covariant_qubit_detector(1.5), matched_covariant_rule(1.5)),
+        (fiurasek_detector(2), matched_fiurasek_rule(2)),
+    ],
+)
+def test_estimate_accuracy_refuses_a_mismatched_target_before_programming(det, rule):
+    # A qutrit target, or a qubit one with three outcomes, is refused before
+    # the rule runs; a matched rule called directly names the dimension.
+    calls = []
+
+    def spy(target):
+        calls.append(target)
+        return rule(target)
+
+    qutrit = observable_from_unitary(np.eye(3))
+    for target in (qutrit, random_povm(2, 3, Rng(15))):
+        for programs in (spy, [pure_state(np.eye(det.anc_dim)[:, 0])]):
+            with pytest.raises(ValueError, match="targets must have dimension 2 and 2 outcomes"):
+                estimate_accuracy(det, [observable_from_unitary(np.eye(2)), target], programs)
+    assert not calls
+    with pytest.raises(ValueError, match="not dimension 3"):
+        rule(qutrit)
+
+
 def test_estimate_accuracy_rejects_empty():
     det = controlled_unitary_detector([np.eye(2)])
     with pytest.raises(ValueError):

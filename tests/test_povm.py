@@ -13,8 +13,9 @@ from povmforge.detector import (
     estimate_accuracy,
     program,
 )
-from povmforge.linalg import CapacityError, Rng, fro_norm, haar_unitary
+from povmforge.linalg import CapacityError, Rng, fro_norm, haar_unitaries, haar_unitary
 from povmforge.povm import (
+    SIGN_BLOCK_ENTRIES,
     SUM_TOL,
     UNITARY_TOL,
     DensityState,
@@ -749,6 +750,66 @@ def test_chunked_enumeration_matches_exhaustive_bit_for_bit(k, seed):
     assert got[0] == want[0] and np.array_equal(winner, first)
 
 
+@pytest.mark.parametrize("n, k", [(2, 14), (3, 12), (5, 12)])
+def test_pruned_enumeration_within_rounding_of_exhaustive(n, k):
+    # Off n = 4 the pruned and the full enumeration form the winning sum in
+    # products of different row counts, so it may differ in the last bits.
+    # Each computed k-term sum is within k·u·F of the exact one in ‖·‖_F
+    # (u the unit roundoff, F = Σ_i ‖Δ_i‖_F), so the two are within 2k·u·F;
+    # each eigvalsh adds a backward error of about n·u·‖S‖₂ ≤ n·u·F. A
+    # different winning sign vector would be off by far more.
+    u = np.finfo(float).eps / 2
+    for seed in range(10):
+        g = np.random.default_rng([1960, n, k, seed])
+        p, q = bench_povm(g, k, n), bench_povm(g, k, n)
+        deltas = (p.effects - q.effects)[None]
+        frob = np.linalg.norm(deltas[0], axis=(1, 2)).sum()
+        got, winner = _signed_extremes(deltas)
+        want, first = exhaustive_extremes(deltas)
+        assert np.linalg.norm(winner - first) <= 2 * k * u * frob
+        assert abs(got[0] - want[0]) <= 2 * (k + n) * u * frob
+
+
+@pytest.mark.parametrize("m", [226, 227, 228, 455])
+def test_stacks_share_a_block_where_their_enumerations_fit(m):
+    # At k = 3, n = 3 a block holds the 4 signed sums of 227 stacks: 228 and
+    # 455 stacks run as two and three groups, each formed whole.
+    assert SIGN_BLOCK_ENTRIES // (3 * 3 << 2) == 227
+    target = observable_from_unitary(haar_unitary(3, Rng(1970)))
+    deltas = target.effects - np.stack(
+        [observable_from_unitary(u).effects for u in haar_unitaries(3, m, Rng(1971))]
+    )
+    got, winner = _signed_extremes(deltas)
+    want, first = exhaustive_extremes(deltas)
+    assert np.array_equal(got, want) and np.array_equal(winner, first)
+
+
+@pytest.mark.parametrize("m, k, n", [(3, 16, 4), (5, 12, 3)])
+def test_pruned_stacks_each_run_alone(m, k, n):
+    # Enumerations too long for one block are pruned one stack at a time:
+    # each stack's value is its pair's distance, bit for bit.
+    rng = Rng(1972 + n)
+    pairs = [(random_povm(n, k, rng), random_povm(n, k, rng)) for _ in range(m)]
+    got, _ = _signed_extremes(np.stack([p.effects - q.effects for p, q in pairs]))
+    assert got.tolist() == [povm_distance(p, q) for p, q in pairs]
+
+
+def test_many_stack_memory():
+    # The observables of 995 qutrit centres against one target: groups of
+    # 227 stacks, each one block, peak well under 512 KiB.
+    target = observable_from_unitary(haar_unitary(3, Rng(1973)))
+    deltas = target.effects - np.stack(
+        [observable_from_unitary(u).effects for u in haar_unitaries(3, 995, Rng(1974))]
+    )
+    tracemalloc.start()
+    try:
+        _signed_extremes(deltas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 512 * 1024
+
+
 def test_zero_outcomes_are_dropped_before_enumerating():
     # P against itself has no nonzero Δ_i; a swap pair has two. Either way the
     # result equals the full 2^15-sum enumeration's.
@@ -769,7 +830,8 @@ def test_zero_outcomes_are_dropped_before_enumerating():
 
 def test_estimate_accuracy_prunes_a_stack_across_blocks():
     # Four candidate programs of a 12-outcome detector make an (m, k, n, n) =
-    # (4, 12, 4, 4) stack: 128 sign vectors a block, 16 blocks.
+    # (4, 12, 4, 4) stack, pruned one stack at a time: 512 sign vectors a
+    # block, 4 blocks.
     rng = Rng(1930)
     det = Detector(4, 2, random_povm(8, 12, rng))
     states = [DensityState(np.diag(w)) for w in ((1, 0), (0, 1), (0.5, 0.5), (0.8, 0.2))]
@@ -784,7 +846,8 @@ def test_estimate_accuracy_prunes_a_stack_across_blocks():
 
 def test_estimate_accuracy_prunes_a_stack_across_chunks():
     # Two candidate programs of a 16-outcome detector make a (2, 16, 4, 4)
-    # stack: 256 sign vectors a block, 16 blocks a chunk, 8 chunks.
+    # stack, whose enumerations are too long to share a block: each stack is
+    # pruned alone, 512 sign vectors a block, 16 blocks a chunk, 4 chunks.
     rng = Rng(1931)
     det = Detector(4, 2, random_povm(8, 16, rng))
     states = [DensityState(np.diag(w)) for w in ((1, 0), (0.3, 0.7))]
