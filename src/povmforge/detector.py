@@ -210,8 +210,8 @@ def estimate_accuracy(f, targets, programs):
     An explicit list is programmed once into an (m, k, n, n) effect stack,
     and each target is scored against it by the sign enumeration of
     :func:`povm_distance`: up to SIGN_BLOCK_ENTRIES // (n²·2^(k−1))
-    candidates share a block of signed sums; a longer enumeration runs on
-    one candidate at a time.
+    candidates share a block of signed sums; a longer enumeration runs by
+    branch and bound on one candidate at a time.
     """
     targets = list(targets)
     if not targets:

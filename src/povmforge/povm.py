@@ -20,7 +20,7 @@ SIGN_ENUM_CAP = 20
 # whose whole enumerations fit one block share it; a longer enumeration runs
 # alone, on blocks of the largest power of two of sign vectors within
 # max(1, SIGN_BLOCK_ENTRIES // n²) (512 at n = 4), bounding its sums in chunks
-# of as many floats and eigensolving only those that can still win.
+# of as many floats and eigensolving only those that reach the floor and best.
 SIGN_BLOCK_ENTRIES = 8192
 
 
@@ -256,6 +256,26 @@ def _scores(sums):
     return np.maximum(vals[..., -1], -vals[..., 0]) + 0.0
 
 
+def _floor(deltas):
+    """Best Σ_i |⟨ψ|Δ_i|ψ⟩| of an ascent over states ψ of a (k, n, n) stack: ≤ δ.
+
+    From each Δ_i's top eigenvector, set s_i = sign⟨ψ|Δ_i|ψ⟩ and move ψ to the
+    top eigenvector of S = Σ_i s_i Δ_i, so Σ_i |⟨ψ|Δ_i|ψ⟩| ≥ ⟨ψ|S|ψ⟩ never falls.
+    Stop when the best value stops rising; finitely many signs fix each ψ.
+    """
+    k = len(deltas)
+    vals, vecs = np.linalg.eigh(deltas)
+    psi = vecs[np.arange(k), :, np.abs(vals).argmax(axis=1)]
+    floor = -np.inf
+    while True:
+        e = np.einsum("ja,iab,jb->ji", psi.conj(), deltas, psi).real
+        value = np.abs(e).sum(axis=1).max()
+        if not value > floor:
+            return floor
+        floor = value
+        psi = np.linalg.eigh(np.einsum("ji,iab->jab", np.sign(e), deltas))[1][..., -1]
+
+
 def _signed_extremes(deltas):
     """max over sign vectors of ‖Σ_i s_i Δ_i‖, for an (m, k, n, n) stack.
 
@@ -273,15 +293,13 @@ def _signed_extremes(deltas):
     Samuelson's inequality bounds ‖S‖₂ ≤ |t|/n + √((n−1)/n · (f − t²/n))
     from t = s·τ (τ_i = Re Tr Δ_i) and f = ‖S‖_F² = sᵀGs (G_ij = Re Tr Δ_iΔ_j)
     with no eigensolve, in chunks of at most max(SIGN_BLOCK_ENTRIES, block)
-    bounds. Pass A eigensolves each chunk's largest-bound sum, so the best
-    starts from a real score. Pass B visits the chunks from the largest
-    bound down while that bound plus a rounding slack reaches the best,
-    recomputes the chunk's bounds, and eigensolves the rows that can still
-    reach the best, largest bound first, in batches of 16, 64, 256 … capped
-    at a block, filtering again after each batch. A pruned row scores below
-    the best, so the maximizing sign vector (the first enumerated, on ties)
-    is the full enumeration's. That sum's rounding depends on the number of
-    sign rows in the product forming it: it is the full enumeration's
+    bounds. One pass in enumeration order bounds each chunk once and
+    eigensolves, at most a block at a time, the rows whose bound plus a
+    rounding slack reaches both the best score so far and the floor
+    (:func:`_floor`), a value some state attains. A pruned row scores below
+    the best or below δ, so the maximizing sign vector (the first enumerated,
+    on ties) is the full enumeration's. That sum's rounding depends on the
+    number of sign rows in the product forming it: it is the full enumeration's
     within 2k·u·Σ_i‖Δ_i‖_F in ‖·‖_F (u the unit roundoff), and so is the
     value up to eigvalsh's rounding; every n = 4 case checked is bit for bit.
     """
@@ -348,46 +366,27 @@ def _signed_extremes(deltas):
     # At n = 4, k = 16 that is 2.2e-7·F. Products that underflow to subnormals
     # are off by up to 2^-1075 in absolute terms; the 2k²n² of them in f amount
     # to far below the absolute 1e-150 under the root.
+    # The maximizing row clears the floor too: exact bound ≥ δ ≥ exact floor,
+    # and the floor's rounding, about (n² + 2n + k)·u·F (k expectations of n²
+    # terms, ‖ψ‖ = 1 to n·u), is within c·u·F, far below the doubling.
     c = 2 * n * n + 2 * n + 4 * k + 2
     frob = np.sqrt(np.diagonal(gram)).sum()
     slack = 2 * np.sqrt(c * np.finfo(float).eps / 2) * frob + 1e-150
 
-    # Pass A: each chunk's largest bound, and the score of its sum.
-    top = np.empty(len(starts))
-    pick = np.empty(len(starts), dtype=np.int64)
+    # Rows ascend, argmax takes the first maximum, and only a greater score wins.
+    floor, best, winner = _floor(deltas[0]), -np.inf, None
     for chunk, start in enumerate(starts):
-        b = bounds(chunk)
-        at = b.argmax()
-        top[chunk], pick[chunk] = b[at], start * rows + at
-    sums = (_signs(pick, k) @ flat).view(complex).reshape(-1, n, n)
-    score = _scores(sums)
-    # Picks ascend, so the first maximum is the first enumerated.
-    at = score.argmax()
-    best, first, winner = score[at], pick[at], sums[at]
-
-    # Pass B: chunks from the largest bound down.
-    for chunk in np.argsort(-top, kind="stable"):
-        if top[chunk] + slack < best:
-            break
-        b = bounds(chunk)
-        # Largest bound first; the first row, the one pass A scored, is dropped.
-        keep = np.flatnonzero(b + slack >= best)
-        keep = keep[np.argsort(-b[keep], kind="stable")][1:]
-        ceiling = b[keep] + slack
-        index = starts[chunk] * rows + keep
-        pos, size = 0, 16
-        while pos < len(index):
-            batch = index[pos : pos + size][ceiling[pos : pos + size] >= best]
+        b = bounds(chunk) + slack
+        keep = np.flatnonzero(b >= max(floor, best))
+        for pos in range(0, len(keep), rows):
+            batch = keep[pos : pos + rows]
+            batch = batch[b[batch] >= max(floor, best)]
             if not len(batch):
-                break
-            sums = (_signs(batch, k) @ flat).view(complex).reshape(-1, n, n)
+                continue
+            sums = (_signs(start * rows + batch, k) @ flat).view(complex).reshape(-1, n, n)
             score = _scores(sums)
-            at = np.flatnonzero(score == score.max())
-            at = at[batch[at].argmin()]
-            if score[at] > best or (score[at] == best and batch[at] < first):
-                best, first, winner = score[at], batch[at], sums[at]
-            pos += size
-            size = min(4 * size, rows)
+            if score.max() > best:
+                best, winner = score.max(), sums[score.argmax()]
     return np.array([best]), winner[None]
 
 
@@ -402,10 +401,10 @@ def povm_distance(p, q, return_witness=False):
     two). An enumeration that fits one block (512 signed sums at n = 4) is
     formed by one matrix product and eigensolved whole; a longer one is
     branch and bound (:func:`_signed_extremes`), which eigensolves only the
-    sums whose bound from their trace and Frobenius norm can still win, so
-    memory does not grow with k. The maximizing sign vector is the full
-    enumeration's, and δ is too up to the rounding of its one signed sum.
-    Capped at 20 outcomes; beyond that use :func:`distance_bounds`.
+    sums whose trace-and-Frobenius bound reaches the best so far and a floor
+    some state attains, so memory does not grow with k. The maximizing sign
+    vector is the full enumeration's, and δ is too up to the rounding of its
+    one signed sum. Capped at 20 outcomes; beyond that use :func:`distance_bounds`.
 
     With `return_witness` the maximizing pure state is returned alongside,
     from one eigh of the winning signed sum.

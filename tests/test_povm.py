@@ -20,6 +20,7 @@ from povmforge.povm import (
     UNITARY_TOL,
     DensityState,
     Povm,
+    _floor,
     _signed_extremes,
     _unit_vector,
     born_probabilities,
@@ -675,22 +676,29 @@ def test_pruned_enumeration_keeps_the_first_of_tied_sums(seed, n):
     assert got[0] == want[0] and np.array_equal(winner, first)
 
 
-def test_pruned_enumeration_eigensolves_few_sums(monkeypatch):
+def count_eigensolves(monkeypatch):
+    """Patch eigvalsh and eigh to record the matrices each call solves."""
     solved = []
+    for name in ("eigvalsh", "eigh"):
 
-    def counting(a):
-        solved.append(np.prod(np.shape(a)[:-2], dtype=int))
-        return eigvalsh(a)
+        def counting(a, solve=getattr(np.linalg, name)):
+            solved.append(np.prod(np.shape(a)[:-2], dtype=int))
+            return solve(a)
 
-    # A random 16-outcome pair eigensolves at most 867 of its 2^15 sums;
-    # a swap pair, with 14 zero Δ_i dropped, its 2.
-    eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, name, counting)
+    return solved
+
+
+def test_pruned_enumeration_eigensolves_few_sums(monkeypatch):
+    # A random 16-outcome pair eigensolves at most 867 matrices, floor
+    # included, against its 2^15 sums; a swap pair, with 14 zero Δ_i
+    # dropped, its 2.
     rng = Rng(1925)
     p, q = random_povm(4, 16, rng), random_povm(4, 16, rng)
     order = np.arange(16)
     order[[2, 9]] = [9, 2]
     swapped = Povm(p.effects[order])
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    solved = count_eigensolves(monkeypatch)
     povm_distance(p, q)
     assert 0 < sum(solved) <= 867
     solved.clear()
@@ -699,17 +707,11 @@ def test_pruned_enumeration_eigensolves_few_sums(monkeypatch):
 
 
 def test_pruned_enumeration_eigensolves_few_sums_at_the_cap(monkeypatch):
-    # A random 20-outcome pair eigensolves at most 3079 of its 2^19 sums.
-    solved = []
-
-    def counting(a):
-        solved.append(np.prod(np.shape(a)[:-2], dtype=int))
-        return eigvalsh(a)
-
-    eigvalsh = np.linalg.eigvalsh
+    # A random 20-outcome pair eigensolves at most 3079 matrices, floor
+    # included, against its 2^19 sums.
     rng = Rng(1903)
     p, q = random_povm(4, 20, rng), random_povm(4, 20, rng)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    solved = count_eigensolves(monkeypatch)
     povm_distance(p, q)
     assert 0 < sum(solved) <= 3079
 
@@ -768,6 +770,41 @@ def test_pruned_enumeration_within_rounding_of_exhaustive(n, k):
         want, first = exhaustive_extremes(deltas)
         assert np.linalg.norm(winner - first) <= 2 * k * u * frob
         assert abs(got[0] - want[0]) <= 2 * (k + n) * u * frob
+
+
+@pytest.mark.parametrize("n, k", [(2, 14), (3, 12), (4, 16), (5, 12)])
+def test_floor_never_exceeds_the_distance(n, k):
+    # The floor is a value some state attains, so at most δ. Its own rounding
+    # (expectations of k effects, summed) measures under 0.2·k·n·u·F on these
+    # draws, where it meets δ.
+    u = np.finfo(float).eps / 2
+    for seed in range(10):
+        g = np.random.default_rng([1980, n, k, seed])
+        p, q = bench_povm(g, k, n), bench_povm(g, k, n)
+        deltas = p.effects - q.effects
+        frob = np.linalg.norm(deltas, axis=(1, 2)).sum()
+        want, _ = exhaustive_extremes(deltas[None])
+        assert _floor(deltas) <= want[0] + k * n * u * frob
+
+
+@pytest.mark.parametrize("n, k, seed", [(3, 12, 1995), (4, 16, 1987)])
+def test_enumeration_where_the_floor_stops_below_the_distance(n, k, seed):
+    # On these draws the ascent stops at a local maximum, 6.4% and 2.5% below
+    # δ, so the bounds alone must find the maximizer: bit for bit at n = 4,
+    # within the rounding of test_pruned_enumeration_within_rounding_of_exhaustive
+    # otherwise.
+    rng = Rng(seed)
+    p, q = random_povm(n, k, rng), random_povm(n, k, rng)
+    deltas = (p.effects - q.effects)[None]
+    got, winner = _signed_extremes(deltas)
+    want, first = exhaustive_extremes(deltas)
+    assert _floor(deltas[0]) < 0.98 * want[0]
+    if n == 4:
+        assert got[0] == want[0] and np.array_equal(winner, first)
+    u = np.finfo(float).eps / 2
+    frob = np.linalg.norm(deltas[0], axis=(1, 2)).sum()
+    assert np.linalg.norm(winner - first) <= 2 * k * u * frob
+    assert abs(got[0] - want[0]) <= 2 * (k + n) * u * frob
 
 
 @pytest.mark.parametrize("m", [226, 227, 228, 455])
