@@ -7,15 +7,18 @@ until a rejection budget is exhausted yields an approximate covering whose
 quality is certified statistically, and whose size growth against the
 target accuracy gives the empirical scaling exponent.
 
-Haar candidates are drawn, QR-factored and screened in blocks, while the
-greedy decisions and the random stream stay those of one draw at a time.
-A block is screened against every centre by one real GEMM of phase-invariant
-Gram vectors: with oᵢ = ⟨wᵢ, cᵢ⟩ for row i of W and C, Σᵢ|oᵢ|² is the inner
-product of g(W) and g(C), the real and imaginary parts of the n row
-projectors (2n³ reals), and Cauchy–Schwarz bounds Σᵢ|oᵢ| by √(n·Σᵢ|oᵢ|²).
-A pair within radius r has Σᵢ|oᵢ| ≥ n − r²/2, so a pair whose Gram product
-falls below max(n − r²/2, 0)²/n is far; only the pairs that clear this floor
-get the exact closed-form distance, a fraction of a percent in a large net.
+Haar candidates are drawn and QR-factored many at a time, while the greedy
+decisions and the random stream stay those of one draw at a time. A draw is
+screened against the centres by single-precision products of
+phase-invariant Gram vectors: with oᵢ = ⟨wᵢ, cᵢ⟩ for row i of W and C, the
+Gram product G = Σᵢ|oᵢ|² is the inner product of g(W) and g(C), the real and
+imaginary parts of the n row projectors (2n³ reals). A pair lies within
+radius r exactly when Σᵢ|oᵢ| ≥ n − r²/2. Cauchy–Schwarz bounds Σᵢ|oᵢ| by
+√(n·G), so a pair with G below max(n − r²/2, 0)²/n is far; and Σᵢ|oᵢ| ≥ G,
+since no |oᵢ| exceeds 1, so a pair with G ≥ n − r²/2 is near. Only the pairs
+between the two bounds, of candidates not already settled, get the exact
+closed-form distance. The draw's clear candidates are screened against each
+other the same way and settled in draw order.
 """
 
 import math
@@ -26,24 +29,35 @@ import numpy as np
 
 from .detector import controlled_unitary_detector
 from .linalg import haar_unitaries
-from .povm import check_unitaries, check_unitary
+from .povm import UNITARY_TOL, check_unitaries, check_unitary
 
-# Matrix entries per screening block of Haar draws: a block takes
-# max(1, _BLOCK_ENTRIES // n²) draws (32 at n = 3). Screening it against
-# k centres holds a (block, k) Gram product, which sets the peak memory of
-# a large net. One `haar_unitaries` call draws _DRAW_BLOCKS blocks.
-_BLOCK_ENTRIES = 288
-_DRAW_BLOCKS = 4
+# Entries in one Gram product of the screen (512 KiB in float32): a draw of
+# b candidates meets max(1, _SCREEN_ENTRIES // b) centres per product. The
+# closed form takes the pairs between the bounds in chunks of
+# _SCREEN_ENTRIES // n², so its (p, n, n) stacks hold as many entries.
+_SCREEN_ENTRIES = 1 << 17
 
-# Slack on the Gram floor, relative to n, the largest Gram product of two
-# unitaries. The GEMM's roundoff is at most 2n³·u·n (‖g(U)‖² = n), and the
-# closed form's at most a few n·u, both far below 1e-9·n for any n a net can
-# hold, so no pair that the closed form puts within the radius is pruned.
-_FLOOR_SLACK = 1e-9
+# Slack on both Gram bounds. With u = 2⁻²⁴, w = 2n³ the Gram width and rows
+# within τ = UNITARY_TOL of unit norm, so that ‖g(U)‖² = Σᵢ‖uᵢ‖⁴ ≤ n(1 + τ)²:
+# casting the two Gram vectors to float32 moves each term of the product by
+# at most 2u, and the float32 dot adds at most γ_w = wu/(1 − wu) ≤ 2wu (for
+# wu ≤ ½, so n ≤ 161), both relative to Σₖ|g(W)ₖ·g(C)ₖ| ≤ n(1 + τ)².
+# Comparing with a bound rounds the bound to float32, u·n more, and the
+# float64 Gram vectors and closed form add a few n·2⁻⁵³. With the
+# second-order terms the product is within (2w + 7)·u·n + 3τn of G. The near
+# bound also needs |oᵢ| ≤ 1 + τ, which gives Σᵢ|oᵢ| ≥ G/(1 + τ) ≥ G − 2τn.
+# So no pair that the closed form puts within the radius falls below the
+# floor, and every pair that clears the near bound is one it puts within.
+def _bounds(n, radius):
+    """The Gram floor, below which a pair is far, and the near bound."""
+    theta = n - radius * radius / 2
+    slack = ((4 * n ** 3 + 8) * 2.0 ** -24 + 5 * UNITARY_TOL) * n
+    return max(theta, 0.0) ** 2 / n - slack, theta + slack
 
 
-def _block_size(n):
-    return max(1, _BLOCK_ENTRIES // (n * n))
+def _draw_size(n):
+    """Haar draws per `haar_unitaries` call: 4·max(1, 288 // n²), 128 at n = 3."""
+    return 4 * max(1, 288 // (n * n))
 
 
 def _count(value, name):
@@ -90,20 +104,77 @@ def _grams(us):
     return projectors.view(float).reshape(b, 2 * n ** 3)
 
 
+def _within(ws, cs, a, c, radius):
+    """Whether each pair (ws[a], cs[c]) lies within `radius`, by the closed form."""
+    step = max(1, _SCREEN_ENTRIES // ws.shape[1] ** 2)
+    out = np.empty(len(a), dtype=bool)
+    for lo in range(0, len(a), step):
+        pairs = slice(lo, lo + step)
+        out[pairs] = _distances(ws[a[pairs]], cs[c[pairs]]) <= radius
+    return out
+
+
 def _near(ws, gws, centres, grams, radius):
     """Whether each of a (b, n, n) stack lies within `radius` of some centre.
 
     `gws` and `grams` are the Gram vectors of `ws` and of the (k, n, n)
-    `centres`. Pairs whose Gram product falls below the floor are far; the
-    rest get the exact distance.
+    `centres`. The centres are met in slices; a candidate found near in one
+    is not screened again, and only pairs between the floor and the near
+    bound get the exact distance.
     """
-    n = ws.shape[1]
-    theta = max(n - radius * radius / 2, 0.0)
-    floor = theta * theta / n - _FLOOR_SLACK * n
-    a, c = np.divmod(np.flatnonzero(gws @ grams.T >= floor), len(centres))
+    floor, sure = _bounds(ws.shape[1], radius)
     near = np.zeros(len(ws), dtype=bool)
-    near[a[_distances(ws[a], centres[c]) <= radius]] = True
+    step = max(1, _SCREEN_ENTRIES // len(ws))
+    for lo in range(0, len(centres), step):
+        rows = np.flatnonzero(~near)
+        if not len(rows):
+            break
+        prod = gws[rows] @ grams[lo:lo + step].T
+        hit = (prod >= sure).any(axis=1)
+        near[rows[hit]] = True
+        rows = rows[~hit]
+        a, c = np.divmod(np.flatnonzero(prod[~hit] >= floor), prod.shape[1])
+        near[rows[a[_within(ws, centres[lo:lo + step], rows[a], c, radius)]]] = True
     return near
+
+
+def _settle(ws, gws, clear, radius, run, budget):
+    """Greedy pass over the clear candidates `clear` of a draw `ws`.
+
+    In draw order, a clear candidate is kept unless it lies within `radius`
+    of one kept before it in the draw; the pass stops at the first one
+    `budget` or more draws after `run`, where the rejections began. Slices
+    of max(1, _SCREEN_ENTRIES // len(clear)) candidates are screened against
+    the later ones still open, so that each slice's pairs stay within the
+    product cap. Returns the kept draw indices and the index after the last
+    of them (`run` if none).
+    """
+    floor, sure = _bounds(ws.shape[1], radius)
+    blocked = np.zeros(len(ws), dtype=bool)  # near a kept candidate of an earlier slice
+    kept = []
+    step = max(1, _SCREEN_ENTRIES // max(len(clear), 1))
+    for lo in range(0, len(clear), step):
+        rows = clear[lo:lo + step]
+        rows = rows[~blocked[rows]]
+        if not len(rows):
+            continue
+        cols = clear[lo:]
+        cols = cols[~blocked[cols]]  # begins with `rows`
+        prod = gws[rows] @ gws[cols].T
+        near = prod >= sure
+        a, c = np.divmod(np.flatnonzero((prod >= floor) & ~near), len(cols))
+        a, c = a[c > a], c[c > a]  # pairs with the earlier candidate as row
+        near[a, c] = _within(ws, ws, rows[a], cols[c], radius)
+        hit = np.zeros(len(cols), dtype=bool)  # near a kept candidate
+        for i, t in enumerate(rows.tolist()):
+            if t >= run + budget:
+                return kept, run
+            if not hit[i]:
+                kept.append(t)
+                run = t + 1
+                hit |= near[i]
+        blocked[cols[hit]] = True
+    return kept, run
 
 
 def _grown(buf, size, need):
@@ -149,14 +220,15 @@ def build_net(n, radius, budget, rng):
     packing at radius r is automatically an r-covering; coverage is still
     certified separately rather than assumed.
 
-    Each :func:`~povmforge.linalg.haar_unitaries` call draws several
-    screening blocks. A block is screened against the centres at once, and
-    its clear candidates are settled in draw order against the block's
-    earlier acceptances, counting the rejected draws between them. When the
-    stop falls inside a draw, the generator is reset to the draw's start and
-    only the draws used are drawn again, so the net, `candidates_tested` and
-    the state `rng` is left in are those of drawing one candidate at a time.
-    The distances come from elementwise products, whose roundoff differs
+    Each :func:`~povmforge.linalg.haar_unitaries` call draws many candidates.
+    The draw is screened against the centres at once, and its clear
+    candidates are settled in draw order against the draw's earlier
+    acceptances, counting the rejected draws between them. When the stop
+    falls inside a draw, the generator is reset to the draw's start and only
+    the draws used are drawn again, so the net, `candidates_tested` and the
+    state `rng` is left in are those of drawing one candidate at a time.
+    The Gram bounds settle only pairs on which the closed form agrees, and
+    the closed form comes from elementwise products, whose roundoff differs
     from a one-candidate sum by about 1e-14, so only a distance that close
     to `radius` could be settled differently.
     """
@@ -166,37 +238,23 @@ def build_net(n, radius, budget, rng):
         raise ValueError("radius must be positive and finite")
     if _count(budget, "budget") < 1:
         raise ValueError("budget must be at least 1")
-    block = _block_size(n)
-    draw = _DRAW_BLOCKS * block
-    centres = np.empty((block, n, n), dtype=complex)  # doubles when full
-    grams = np.empty((block, 2 * n ** 3))
+    draw = _draw_size(n)
+    centres = np.empty((draw, n, n), dtype=complex)  # doubles when full
+    grams = np.empty((draw, 2 * n ** 3), dtype=np.float32)
     size = 0
     run = 0  # index in the current draw where the rejections began; < 0 if earlier
     tested = 0
     while True:
         start = rng.generator.bit_generator.state
-        cands = haar_unitaries(n, draw, rng)
-        for lo in range(0, draw, block):
-            ws = cands[lo:lo + block]
-            gws = _grams(ws)
-            clear = np.flatnonzero(~_near(ws, gws, centres[:size], grams[:size], radius))
-            near = _distances(ws[clear, None], ws[None, clear]) <= radius
-            blocked = np.zeros(len(clear), dtype=bool)  # near a kept one
-            kept = []
-            for j, t in enumerate(clear.tolist()):
-                if lo + t >= run + budget:
-                    break
-                if not blocked[j]:
-                    kept.append(j)
-                    blocked |= near[j]
-                    run = lo + t + 1
-            centres = _grown(centres, size, size + len(kept))
-            grams = _grown(grams, size, size + len(kept))
-            centres[size:size + len(kept)] = ws[clear[kept]]
-            grams[size:size + len(kept)] = gws[clear[kept]]
-            size += len(kept)
-            if run + budget <= lo + len(ws):
-                break
+        ws = haar_unitaries(n, draw, rng)
+        gws = _grams(ws).astype(np.float32)
+        clear = np.flatnonzero(~_near(ws, gws, centres[:size], grams[:size], radius))
+        kept, run = _settle(ws, gws, clear, radius, run, budget)
+        centres = _grown(centres, size, size + len(kept))
+        grams = _grown(grams, size, size + len(kept))
+        centres[size:size + len(kept)] = ws[kept]
+        grams[size:size + len(kept)] = gws[kept]
+        size += len(kept)
         if run + budget <= draw:
             break
         tested += draw
@@ -218,22 +276,20 @@ def build_net(n, radius, budget, rng):
 def certify_coverage(net, samples, rng):
     """Fraction of fresh Haar samples within `net.radius` of some center.
 
-    Samples come in the draws and blocks :func:`build_net` takes, with the
-    same outcome and the same use of `rng` as one sample at a time.
+    Samples come in the draws :func:`build_net` takes and are screened the
+    same way, with the same outcome and the same use of `rng` as one sample
+    at a time.
     """
     if _count(samples, "samples") < 1:
         raise ValueError("need at least one sample")
     centres = net.centers
-    grams = _grams(centres)
-    block = _block_size(net.dim)
-    draw = _DRAW_BLOCKS * block
+    grams = _grams(centres).astype(np.float32)
+    draw = _draw_size(net.dim)
     hits = 0
     for start in range(0, samples, draw):
         ws = haar_unitaries(net.dim, min(draw, samples - start), rng)
-        for lo in range(0, len(ws), block):
-            part = ws[lo:lo + block]
-            near = _near(part, _grams(part), centres, grams, net.radius)
-            hits += int(np.count_nonzero(near))
+        near = _near(ws, _grams(ws).astype(np.float32), centres, grams, net.radius)
+        hits += int(np.count_nonzero(near))
     return hits / samples
 
 
@@ -279,7 +335,7 @@ def scaling_scan(n, eps_list, budget, rng, samples=1000):
             raise ValueError(f"epsilon {e} outside (0, 2]")
     if len(set(eps_list)) < 2:
         raise ValueError("the exponent fit needs at least two distinct epsilons")
-    if samples < 1:
+    if _count(samples, "samples") < 1:
         raise ValueError("need at least one sample")
     rows = []
     scale = math.sqrt(2 * n)

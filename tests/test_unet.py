@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -352,13 +354,17 @@ def test_scaling_scan_validation():
             scaling_scan(n, [1.0, 0.5], 5, Rng(1))
 
 
-@pytest.mark.parametrize("samples", [0, -3])
+@pytest.mark.parametrize("samples", [0, -3, 2.5, float("nan"), 10.0])
 def test_scaling_scan_refuses_no_samples_before_building(monkeypatch, samples):
     def reached(*args):
         raise AssertionError("build_net ran before samples were checked")
 
     monkeypatch.setattr(unet, "build_net", reached)
-    with pytest.raises(ValueError, match="at least one sample"):
+    if isinstance(samples, int):
+        match = "at least one sample"
+    else:  # NaN and 2.5 used to reach build_net, and 10.0 to run as 10
+        match = "samples must be an integer"
+    with pytest.raises(ValueError, match=match):
         scaling_scan(2, [0.5, 0.4], 100, Rng(1), samples=samples)
 
 
@@ -418,7 +424,7 @@ def test_build_net_stopping_at_draw_ends_matches_sequential_loop(n):
     # At the diameter every draw after the first is rejected, so the stop
     # lands on draw budget + 1: the last draw of the first Haar call, the
     # first of the second, and the last of the second.
-    draw = unet._DRAW_BLOCKS * unet._block_size(n)
+    draw = unet._draw_size(n)
     for budget in (draw - 1, draw, 2 * draw - 1):
         net = assert_same_as_sequential(n, np.sqrt(2 * n), budget, 700 + budget)
         assert net.candidates_tested == budget + 1
@@ -486,15 +492,89 @@ def test_gram_screen_never_prunes_a_near_pair(n, radius):
             )[0] == near
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_gram_near_bound_settles_its_tight_case(monkeypatch, n):
+    # Rows 0 and 1 exchanged: the overlaps are 0, 0, 1, …, 1, so Σᵢ|oᵢ| and
+    # Σᵢ|oᵢ|² are both n − 2, the near bound is tight and the quotient
+    # distance is exactly 2.
+    ws = haar_unitaries(n, 12, Rng(1200 + n))
+    swap = [1, 0] + list(range(2, n))
+    pairs = [(w[None], w[swap][None]) for w in ws]
+
+    def near(w, c, radius):
+        gw, gc = (unet._grams(u).astype(np.float32) for u in (w, c))
+        return unet._near(w, gw, c, gc, radius)[0]
+
+    for w, c in pairs:
+        assert not near(w, c, 2 * (1 - 1e-9))
+        assert near(w, c, 2 * (1 + 1e-9))
+
+    def closed_form(*args):
+        raise AssertionError("the closed form ran on a pair past the near bound")
+
+    # Past the bound's slack the pair is near without the closed form.
+    monkeypatch.setattr(unet, "_distances", closed_form)
+    for w, c in pairs:
+        assert near(w, c, 2 * (1 + 1e-3))
+
+
+@pytest.mark.parametrize("n,radius", [(1, 0.5), (2, 0.5), (3, 1.2), (5, 2.2)])
+def test_screen_in_tiny_products_matches_sequential_loop(monkeypatch, n, radius):
+    # 40 entries: products of one centre or one candidate row, and exact
+    # distances in chunks of a few pairs.
+    monkeypatch.setattr(unet, "_SCREEN_ENTRIES", 40)
+    built = assert_same_as_sequential(n, radius, 60, 1300 + n)
+    halved = UnitaryNet(dim=n, radius=radius / 2, centers=built.centers, seed=0)
+    samples = unet._draw_size(n) + 1
+    for net in (built, halved):
+        want_rng, got_rng = Rng(1400 + n), Rng(1400 + n)
+        hits = sequential_hits(net.centers, net.radius, samples, want_rng)
+        assert certify_coverage(net, samples, got_rng) == hits / samples
+
+
+def traced_peak(run):
+    """`run()` and the peak bytes tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "n,radius,budget,seed",
+    [
+        # At n = 1 every pair is near: the first draw's 1152 candidates are
+        # settled against each other in row slices, not in one 1152² product.
+        (1, 0.5, 2000, 3),
+        # The benchmark's C8 qubit net.
+        (2, 0.35, 4000, 77),
+    ],
+)
+def test_build_net_memory_stays_bounded(n, radius, budget, seed):
+    _, peak = traced_peak(lambda: build_net(n, radius, budget, Rng(seed)))
+    assert peak <= 3 << 20
+
+
+def test_certify_coverage_of_dense_centres_stays_small():
+    # 3000 random qutrit centres at radius 2.0: the Gram floor, 1/3, passes
+    # most pairs, and the near bound settles most samples in the first slice.
+    centers = haar_unitaries(3, 3000, Rng(5))
+    net = UnitaryNet(dim=3, radius=2.0, centers=centers, seed=0)
+    rate, peak = traced_peak(lambda: certify_coverage(net, 320, Rng(6)))
+    assert rate * 320 == sequential_hits(centers, 2.0, 320, Rng(6))
+    assert peak <= 8 << 20
+
+
 @pytest.mark.parametrize("n,radius", [(1, 0.5), (2, 0.5), (3, 1.2), (5, 2.2)])
 def test_certify_coverage_matches_sequential_loop(n, radius):
     built = build_net(n, radius, 60, Rng(400 + n))
     # At half the radius a good share of the samples miss.
     halved = UnitaryNet(dim=n, radius=radius / 2, centers=built.centers, seed=0)
-    block = unet._block_size(n)
-    draw = unet._DRAW_BLOCKS * block
+    draw = unet._draw_size(n)
+    quarter = draw // 4
     for net in (built, halved):
-        for samples in sorted({1, max(block - 1, 1), block + 1, draw - 1, draw + 1, 1000}):
+        for samples in sorted({1, max(quarter - 1, 1), quarter + 1, draw - 1, draw + 1, 1000}):
             want_rng, got_rng = Rng(500 + samples), Rng(500 + samples)
             hits = sequential_hits(net.centers, net.radius, samples, want_rng)
             assert certify_coverage(net, samples, got_rng) == hits / samples
