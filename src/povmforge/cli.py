@@ -32,7 +32,7 @@ from .su2 import (
     covariant_target,
     matched_covariant_rule,
 )
-from .unet import scaling_scan
+from .unet import NET_DIM_CAP, scaling_scan
 
 # fiurasek-scan's --n-max cap, the tested covariant range (2j <= 200); some
 # cap must stay, since 0.5 * 4**(1/eps) overflows from about N = 1023.
@@ -202,7 +202,8 @@ def cmd_covariant_scan(twice_j_min, twice_j_max, n_targets, tol, seed, out):
 
 
 @main.command("net-scan")
-@click.option("--dim", "n", type=click.IntRange(min=1), default=2, show_default=True)
+@click.option("--dim", "n", type=click.IntRange(1, NET_DIM_CAP), default=2,
+              show_default=True)
 @click.option("--eps", "eps_list", type=_FiniteRange(0, 2, min_open=True),
               multiple=True, default=(1.2, 0.9, 0.7, 0.5, 0.35), show_default=True)
 @click.option("--budget", type=click.IntRange(min=1), default=2000, show_default=True)

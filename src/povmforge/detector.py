@@ -205,7 +205,9 @@ def estimate_accuracy(f, targets, programs):
     only part of the ancilla state space; for constructions with matched
     programs it is exact.
 
-    Targets must share the detector's dimension and outcome count.
+    Targets must share the detector's dimension and outcome count; past the
+    sign-enumeration cap they are refused with CapacityError before any
+    program state is made or programmed.
 
     An explicit list is programmed once into an (m, k, n, n) effect stack,
     and each target is scored against it by the sign enumeration of
@@ -218,26 +220,27 @@ def estimate_accuracy(f, targets, programs):
         raise ValueError("need at least one target")
     if any((t.dim, len(t)) != (f.sys_dim, f.outcomes) for t in targets):
         raise ValueError(f"targets must have dimension {f.sys_dim} and {f.outcomes} outcomes")
+    # Every target and programmed POVM shares the detector's dimension and
+    # outcome count, so one check covers each pair, before anything is programmed.
+    check_enumerable(targets[0], targets[0])
 
-    states = None
-    if not callable(programs):
+    if callable(programs):
+        def strategy(target):
+            state = programs(target)
+            return [state], program(f, state).effects[None]
+    else:
         states = list(programs)
         if not states:
             raise ValueError("program strategy is empty")
         # Programmed POVMs do not depend on the target; compute each once.
-        povms = [program(f, s) for s in states]
-        stack = np.stack([q.effects for q in povms])
+        programmed = np.stack([program(f, s).effects for s in states])
+
+        def strategy(target):
+            return states, programmed
 
     results = []
     for tid, target in enumerate(targets):
-        if states is None:
-            candidates = [programs(target)]
-            povms = [program(f, candidates[0])]
-            stack = povms[0].effects[None]
-        else:
-            candidates = states
-        # Every programmed POVM shares the detector's dimension and outcomes.
-        check_enumerable(target, povms[0])
+        candidates, stack = strategy(target)
         deltas, _ = _signed_extremes(target.effects - stack)
         k = int(np.argmin(deltas))
         results.append(PerTargetResult(tid, float(deltas[k]), k, candidates[k]))

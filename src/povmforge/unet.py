@@ -18,7 +18,8 @@ radius r exactly when Σᵢ|oᵢ| ≥ n − r²/2. Cauchy–Schwarz bounds Σᵢ
 since no |oᵢ| exceeds 1, so a pair with G ≥ n − r²/2 is near. Only the pairs
 between the two bounds, of candidates not already settled, get the exact
 closed-form distance. The draw's clear candidates are screened against each
-other the same way and settled in draw order.
+other the same way, in one product that the draw size keeps within the
+screen's cap, and settled in draw order.
 """
 
 import math
@@ -28,14 +29,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import controlled_unitary_detector
-from .linalg import haar_unitaries
+from .linalg import CapacityError, haar_unitaries
 from .povm import UNITARY_TOL, check_unitaries, check_unitary
 
 # Entries in one Gram product of the screen (512 KiB in float32): a draw of
-# b candidates meets max(1, _SCREEN_ENTRIES // b) centres per product. The
-# closed form takes the pairs between the bounds in chunks of
-# _SCREEN_ENTRIES // n², so its (p, n, n) stacks hold as many entries.
+# b candidates meets max(1, _SCREEN_ENTRIES // b) centres per product, and
+# its clear candidates meet each other in one product, since no draw exceeds
+# √_SCREEN_ENTRIES candidates. The closed form takes the pairs between the
+# bounds in chunks of _SCREEN_ENTRIES // n², so its (p, n, n) stacks hold as
+# many entries.
 _SCREEN_ENTRIES = 1 << 17
+
+# Largest net dimension: the slack of `_bounds` is derived for 2n³·2⁻²⁴ ≤ ½.
+NET_DIM_CAP = 161
 
 # Slack on both Gram bounds. With u = 2⁻²⁴, w = 2n³ the Gram width and rows
 # within τ = UNITARY_TOL of unit norm, so that ‖g(U)‖² = Σᵢ‖uᵢ‖⁴ ≤ n(1 + τ)²:
@@ -56,8 +62,8 @@ def _bounds(n, radius):
 
 
 def _draw_size(n):
-    """Haar draws per `haar_unitaries` call: 4·max(1, 288 // n²), 128 at n = 3."""
-    return 4 * max(1, 288 // (n * n))
+    """Haar draws per `haar_unitaries` call: 4·max(1, 288 // n²) up to √_SCREEN_ENTRIES."""
+    return min(math.isqrt(_SCREEN_ENTRIES), 4 * max(1, 288 // (n * n)))
 
 
 def _count(value, name):
@@ -66,6 +72,14 @@ def _count(value, name):
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_dim(n):
+    """Refuse a net dimension below 1 or past NET_DIM_CAP."""
+    if _count(n, "dimension") < 1:
+        raise ValueError("dimension must be positive")
+    if n > NET_DIM_CAP:
+        raise CapacityError(f"dimension {n} exceeds the net cap ({NET_DIM_CAP})")
 
 
 def quotient_distance(w, v):
@@ -143,37 +157,26 @@ def _settle(ws, gws, clear, radius, run, budget):
 
     In draw order, a clear candidate is kept unless it lies within `radius`
     of one kept before it in the draw; the pass stops at the first one
-    `budget` or more draws after `run`, where the rejections began. Slices
-    of max(1, _SCREEN_ENTRIES // len(clear)) candidates are screened against
-    the later ones still open, so that each slice's pairs stay within the
-    product cap. Returns the kept draw indices and the index after the last
-    of them (`run` if none).
+    `budget` or more draws after `run`, where the rejections began. The
+    clear candidates meet each other in one Gram product, and the pairs
+    between the floor and the near bound, earlier candidate first, get the
+    exact distance. Returns the kept draw indices and the index after the
+    last of them (`run` if none).
     """
     floor, sure = _bounds(ws.shape[1], radius)
-    blocked = np.zeros(len(ws), dtype=bool)  # near a kept candidate of an earlier slice
+    prod = gws[clear] @ gws[clear].T
+    near = prod >= sure
+    a, c = np.nonzero(np.triu((prod >= floor) & ~near, 1))
+    near[a, c] = _within(ws, ws, clear[a], clear[c], radius)
     kept = []
-    step = max(1, _SCREEN_ENTRIES // max(len(clear), 1))
-    for lo in range(0, len(clear), step):
-        rows = clear[lo:lo + step]
-        rows = rows[~blocked[rows]]
-        if not len(rows):
-            continue
-        cols = clear[lo:]
-        cols = cols[~blocked[cols]]  # begins with `rows`
-        prod = gws[rows] @ gws[cols].T
-        near = prod >= sure
-        a, c = np.divmod(np.flatnonzero((prod >= floor) & ~near), len(cols))
-        a, c = a[c > a], c[c > a]  # pairs with the earlier candidate as row
-        near[a, c] = _within(ws, ws, rows[a], cols[c], radius)
-        hit = np.zeros(len(cols), dtype=bool)  # near a kept candidate
-        for i, t in enumerate(rows.tolist()):
-            if t >= run + budget:
-                return kept, run
-            if not hit[i]:
-                kept.append(t)
-                run = t + 1
-                hit |= near[i]
-        blocked[cols[hit]] = True
+    hit = np.zeros(len(clear), dtype=bool)  # near a kept candidate
+    for i, t in enumerate(clear.tolist()):
+        if t >= run + budget:
+            break
+        if not hit[i]:
+            kept.append(t)
+            run = t + 1
+            hit |= near[i]
     return kept, run
 
 
@@ -230,10 +233,10 @@ def build_net(n, radius, budget, rng):
     The Gram bounds settle only pairs on which the closed form agrees, and
     the closed form comes from elementwise products, whose roundoff differs
     from a one-candidate sum by about 1e-14, so only a distance that close
-    to `radius` could be settled differently.
+    to `radius` could be settled differently. Refused with CapacityError
+    past NET_DIM_CAP.
     """
-    if _count(n, "dimension") < 1:
-        raise ValueError("dimension must be positive")
+    _check_dim(n)
     if not 0 < radius < math.inf:
         raise ValueError("radius must be positive and finite")
     if _count(budget, "budget") < 1:
@@ -278,13 +281,16 @@ def certify_coverage(net, samples, rng):
 
     Samples come in the draws :func:`build_net` takes and are screened the
     same way, with the same outcome and the same use of `rng` as one sample
-    at a time.
+    at a time. Refused with CapacityError past NET_DIM_CAP.
     """
+    _check_dim(net.dim)
     if _count(samples, "samples") < 1:
         raise ValueError("need at least one sample")
     centres = net.centers
-    grams = _grams(centres).astype(np.float32)
     draw = _draw_size(net.dim)
+    grams = np.empty((len(centres), 2 * net.dim ** 3), dtype=np.float32)
+    for lo in range(0, len(centres), draw):  # no complex stack of the whole net
+        grams[lo:lo + draw] = _grams(centres[lo:lo + draw])
     hits = 0
     for start in range(0, samples, draw):
         ws = haar_unitaries(net.dim, min(draw, samples - start), rng)
@@ -327,8 +333,7 @@ def scaling_scan(n, eps_list, budget, rng, samples=1000):
     against log(1/ε), so it needs at least two distinct ε; kappa is the
     fitted prefactor exp(intercept).
     """
-    if n < 1:
-        raise ValueError("dimension must be positive")
+    _check_dim(n)
     eps_list = [float(e) for e in eps_list]
     for e in eps_list:
         if not 0 < e <= 2:

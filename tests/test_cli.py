@@ -214,6 +214,12 @@ def test_bad_usage_exits_2(runner, args):
     assert result.exit_code == 2, result.output
 
 
+def test_net_scan_past_the_dimension_cap_exits_2_without_output(runner, tmp_path):
+    result = runner.invoke(main, ["net-scan", "--dim", "162", "--out", str(tmp_path / "n.csv")])
+    assert result.exit_code == 2, result.output
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 def test_bad_seed_env_var_exits_2(runner, seed):
     result = runner.invoke(main, ["fiurasek-scan", "--n-max", "1"],

@@ -12,7 +12,8 @@ from povmforge.detector import (
     estimate_accuracy,
     program,
 )
-from povmforge.linalg import Rng, haar_unitary, partial_trace_ancilla, tensor
+from povmforge import detector
+from povmforge.linalg import CapacityError, Rng, haar_unitary, partial_trace_ancilla, tensor
 from povmforge.povm import (
     DensityState,
     Povm,
@@ -470,6 +471,22 @@ def test_estimate_accuracy_refuses_a_mismatched_target_before_programming(det, r
     assert not calls
     with pytest.raises(ValueError, match="not dimension 3"):
         rule(qutrit)
+
+
+def test_estimate_accuracy_refuses_past_the_outcome_cap_before_programming(monkeypatch):
+    # 21 outcomes exceed the sign-enumeration cap: neither the rule nor the
+    # program map runs before the CapacityError.
+    det = controlled_unitary_detector([np.eye(21)])
+    target = observable_from_unitary(np.eye(21))
+
+    def spy(*args):
+        raise AssertionError("programmed past the outcome cap")
+
+    with pytest.raises(CapacityError, match="sign-enumeration cap"):
+        estimate_accuracy(det, [target], spy)
+    monkeypatch.setattr(detector, "program", spy)
+    with pytest.raises(CapacityError, match="sign-enumeration cap"):
+        estimate_accuracy(det, [target], [pure_state([1.0])])
 
 
 def test_estimate_accuracy_rejects_empty():

@@ -5,7 +5,7 @@ import pytest
 
 from povmforge import unet
 from povmforge.detector import program
-from povmforge.linalg import Rng, haar_unitaries, haar_unitary
+from povmforge.linalg import CapacityError, Rng, haar_unitaries, haar_unitary
 from povmforge.povm import Povm, observable_from_unitary, povm_distance, pure_state
 from povmforge.unet import (
     UnitaryNet,
@@ -213,6 +213,31 @@ def test_build_net_refuses_bad_arguments_before_drawing(n, budget, match):
     with pytest.raises(ValueError, match=match):
         build_net(n, 0.5, budget, rng)
     assert rng.generator.bit_generator.state == before
+
+
+def test_nets_past_the_dimension_cap_are_refused_before_drawing(monkeypatch):
+    # The float32 slack of the Gram bounds holds up to n = 161. The net
+    # handed to certify_coverage is empty, so no 162 × 162 matrix is formed.
+    def reached(*args):
+        raise AssertionError("build_net ran past the dimension cap")
+
+    n = unet.NET_DIM_CAP + 1
+    empty = UnitaryNet(dim=n, radius=0.5, centers=np.zeros((0, n, n)), seed=0)
+    rng = Rng(1)
+    before = rng.generator.bit_generator.state
+    with pytest.raises(CapacityError, match="net cap"):
+        build_net(n, 0.5, 5, rng)
+    with pytest.raises(CapacityError, match="net cap"):
+        certify_coverage(empty, 5, rng)
+    monkeypatch.setattr(unet, "build_net", reached)
+    with pytest.raises(CapacityError, match="net cap"):
+        scaling_scan(n, [1.0, 0.5], 5, rng)
+    assert rng.generator.bit_generator.state == before
+
+
+def test_draws_settle_in_one_product_up_to_the_cap():
+    for n in range(1, unet.NET_DIM_CAP + 1):
+        assert unet._draw_size(n) ** 2 <= unet._SCREEN_ENTRIES
 
 
 def test_build_net_takes_numpy_integers():
@@ -520,8 +545,9 @@ def test_gram_near_bound_settles_its_tight_case(monkeypatch, n):
 
 @pytest.mark.parametrize("n,radius", [(1, 0.5), (2, 0.5), (3, 1.2), (5, 2.2)])
 def test_screen_in_tiny_products_matches_sequential_loop(monkeypatch, n, radius):
-    # 40 entries: products of one centre or one candidate row, and exact
-    # distances in chunks of a few pairs.
+    # 40 entries: draws of 6, products of 6 centres and one 6 × 6 product
+    # of a draw's clear candidates, and exact distances in chunks of a few
+    # pairs.
     monkeypatch.setattr(unet, "_SCREEN_ENTRIES", 40)
     built = assert_same_as_sequential(n, radius, 60, 1300 + n)
     halved = UnitaryNet(dim=n, radius=radius / 2, centers=built.centers, seed=0)
@@ -544,8 +570,8 @@ def traced_peak(run):
 @pytest.mark.parametrize(
     "n,radius,budget,seed",
     [
-        # At n = 1 every pair is near: the first draw's 1152 candidates are
-        # settled against each other in row slices, not in one 1152² product.
+        # At n = 1 every pair is near: each draw's 362 candidates are
+        # settled against each other in one 362² product.
         (1, 0.5, 2000, 3),
         # The benchmark's C8 qubit net.
         (2, 0.35, 4000, 77),
@@ -564,6 +590,16 @@ def test_certify_coverage_of_dense_centres_stays_small():
     rate, peak = traced_peak(lambda: certify_coverage(net, 320, Rng(6)))
     assert rate * 320 == sequential_hits(centers, 2.0, 320, Rng(6))
     assert peak <= 8 << 20
+
+
+def test_certify_coverage_of_a_large_net_stays_small():
+    # 20 000 qutrit centres take 4.3 MB of float32 Gram vectors; their
+    # complex row projectors, 8.6 MB, are formed a draw's worth at a time.
+    centers = haar_unitaries(3, 20000, Rng(5))
+    net = UnitaryNet(dim=3, radius=1 / np.sqrt(6), centers=centers, seed=0)
+    rate, peak = traced_peak(lambda: certify_coverage(net, 1, Rng(6)))
+    assert rate == sequential_hits(centers, net.radius, 1, Rng(6))
+    assert peak <= 7 << 20
 
 
 @pytest.mark.parametrize("n,radius", [(1, 0.5), (2, 0.5), (3, 1.2), (5, 2.2)])
