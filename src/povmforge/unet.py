@@ -13,9 +13,10 @@ screened against the centres by single-precision products of
 phase-invariant Gram vectors: with oᵢ = ⟨wᵢ, cᵢ⟩ for row i of W and C, the
 Gram product G = Σᵢ|oᵢ|² is the inner product of g(W) and g(C), the real and
 imaginary parts of the n row projectors (2n³ reals). A pair lies within
-radius r exactly when Σᵢ|oᵢ| ≥ n − r²/2. Cauchy–Schwarz bounds Σᵢ|oᵢ| by
-√(n·G), so a pair with G below max(n − r²/2, 0)²/n is far; and Σᵢ|oᵢ| ≥ G,
-since no |oᵢ| exceeds 1, so a pair with G ≥ n − r²/2 is near. Only the pairs
+radius r exactly when Σᵢ|oᵢ| ≥ θ = n − r²/2. Cauchy–Schwarz bounds Σᵢ|oᵢ|
+by √(n·G), so a pair with G below max(θ, 0)²/n is far. Since no |oᵢ|
+exceeds 1, Σᵢ|oᵢ| ≥ ⌊G⌋ + √(G − ⌊G⌋), so for θ > 0 a pair with
+G ≥ ⌊θ⌋ + (θ − ⌊θ⌋)² is near; for θ ≤ 0 every pair is. Only the pairs
 between the two bounds, of candidates not already settled, get the exact
 closed-form distance. The draw's clear candidates are screened against each
 other the same way, in one product that the draw size keeps within the
@@ -50,15 +51,31 @@ NET_DIM_CAP = 161
 # wu ≤ ½, so n ≤ 161), both relative to Σₖ|g(W)ₖ·g(C)ₖ| ≤ n(1 + τ)².
 # Comparing with a bound rounds the bound to float32, u·n more, and the
 # float64 Gram vectors and closed form add a few n·2⁻⁵³. With the
-# second-order terms the product is within (2w + 7)·u·n + 3τn of G. The near
-# bound also needs |oᵢ| ≤ 1 + τ, which gives Σᵢ|oᵢ| ≥ G/(1 + τ) ≥ G − 2τn.
-# So no pair that the closed form puts within the radius falls below the
-# floor, and every pair that clears the near bound is one it puts within.
+# second-order terms the product P̃ is within (2w + 7)·u·n + 3τn of G.
+#
+# For θ = n − r²/2 > 0 the near bound is ψ(θ) = ⌊θ⌋ + (θ − ⌊θ⌋)², the
+# inverse of φ(G) = ⌊G⌋ + √(G − ⌊G⌋). For |oᵢ| in [0, 1] with Σᵢ|oᵢ|² = G,
+# Σᵢ|oᵢ| ≥ φ(G): Σᵢ√yᵢ is concave over the polytope {0 ≤ yᵢ ≤ 1, Σᵢyᵢ = G},
+# so its minimum sits at a vertex, and a vertex has at most one fractional
+# coordinate. Rows within τ of unit norm allow |oᵢ| ≤ 1 + τ, which gives
+# Σᵢ|oᵢ| ≥ φ(G/(1 + τ)²) with G/(1 + τ)² ≥ G − (2τ + τ²)n. φ is increasing
+# with slope at least ½, so P̃ ≥ ψ(θ) + slack gives Σᵢ|oᵢ| ≥ θ after the
+# product error and the τ term: the margin the slack leaves over is at worst
+# halved, and still far above the closed form's few n·2⁻⁵³. And
+# φ(G) ≤ √(nG), the floor's Cauchy–Schwarz bound, so ψ(θ) ≥ θ²/n and the
+# near bound never falls below the floor. So no pair that the closed form
+# puts within the radius falls below the floor, and every pair that clears
+# the near bound is one it puts within. For θ ≤ 0 every pair is within the
+# radius and the near bound stays θ, below every product once θ < −slack;
+# it may then sit below the floor, which only decides pairs that the near
+# bound has not.
 def _bounds(n, radius):
     """The Gram floor, below which a pair is far, and the near bound."""
     theta = n - radius * radius / 2
+    whole = math.floor(theta)
+    near = whole + (theta - whole) ** 2 if theta > 0 else theta
     slack = ((4 * n ** 3 + 8) * 2.0 ** -24 + 5 * UNITARY_TOL) * n
-    return max(theta, 0.0) ** 2 / n - slack, theta + slack
+    return max(theta, 0.0) ** 2 / n - slack, near + slack
 
 
 def _draw_size(n):
@@ -204,6 +221,8 @@ class UnitaryNet:
     candidates_tested: int = 0
 
     def __post_init__(self):
+        if _count(self.dim, "dimension") < 1:
+            raise ValueError("dimension must be positive")
         self.centers = np.asarray(self.centers, dtype=complex)
         if self.centers.ndim != 3 or self.centers.shape[1:] != (self.dim, self.dim):
             raise ValueError("centers must be a (k, dim, dim) array")

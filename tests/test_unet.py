@@ -1,7 +1,11 @@
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from povmforge import unet
 from povmforge.detector import program
@@ -266,6 +270,20 @@ def test_build_net_rejects_nonfinite_radius_before_drawing(radius):
     assert rng.generator.bit_generator.state == before
 
 
+@pytest.mark.parametrize(
+    "dim,match",
+    [
+        (2.0, "dimension must be an integer"),
+        (float("nan"), "dimension must be an integer"),
+        (0, "dimension must be positive"),
+        (-1, "dimension must be positive"),
+    ],
+)
+def test_unitary_net_refuses_bad_dimensions(dim, match):
+    with pytest.raises(ValueError, match=match):
+        UnitaryNet(dim=dim, radius=0.5, centers=np.eye(2)[None], seed=0)
+
+
 def test_unitary_net_validates_centers():
     with pytest.raises(ValueError):
         UnitaryNet(dim=2, radius=0.5, centers=np.zeros((1, 2, 2)), seed=0)
@@ -519,8 +537,9 @@ def test_gram_screen_never_prunes_a_near_pair(n, radius):
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_gram_near_bound_settles_its_tight_case(monkeypatch, n):
-    # Rows 0 and 1 exchanged: the overlaps are 0, 0, 1, …, 1, so Σᵢ|oᵢ| and
-    # Σᵢ|oᵢ|² are both n − 2, the near bound is tight and the quotient
+    # Rows 0 and 1 exchanged: the overlaps are 0, 0, 1, …, 1, an integer
+    # vertex of the near bound Σᵢ|oᵢ| ≥ ⌊G⌋ + √(G − ⌊G⌋). Σᵢ|oᵢ| and
+    # G = Σᵢ|oᵢ|² are both n − 2, so the bound is tight, and the quotient
     # distance is exactly 2.
     ws = haar_unitaries(n, 12, Rng(1200 + n))
     swap = [1, 0] + list(range(2, n))
@@ -541,6 +560,112 @@ def test_gram_near_bound_settles_its_tight_case(monkeypatch, n):
     monkeypatch.setattr(unet, "_distances", closed_form)
     for w, c in pairs:
         assert near(w, c, 2 * (1 + 1e-3))
+
+
+def screened_near(w, c, radius):
+    # `_near` of the single candidate w against the single centre c.
+    gw, gc = (unet._grams(u).astype(np.float32) for u in (w, c))
+    return unet._near(w, gw, c, gc, radius)[0]
+
+
+def fractional_vertex(n, x):
+    # U = [[x, √(1 − x²), 0], [0, 0, 1], [√(1 − x²), −x, 0]] ⊕ I_{n−3}: for
+    # C = U·W the row overlaps are U's diagonal x, 0, 0, 1, …, 1.
+    s = np.sqrt(1 - x * x)
+    u = np.eye(n)
+    u[:3, :3] = [[x, s, 0], [0, 0, 1], [s, -x, 0]]
+    return u
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("x", [0.3, 0.6, 0.9])
+def test_gram_near_bound_settles_its_fractional_tight_case(monkeypatch, n, x):
+    # The overlaps x, 0, 0, 1, …, 1 are the vertex of the near bound with one
+    # fractional coordinate: Σᵢ|oᵢ| = n − 3 + x and G = n − 3 + x², so
+    # Σᵢ|oᵢ| ≥ ⌊G⌋ + √(G − ⌊G⌋) is tight at radius √(6 − 2x), where
+    # Σᵢ|oᵢ| ≥ G would leave a gap of x − x².
+    rng = Rng(1500 + n)
+    radius = np.sqrt(6 - 2 * x)
+    u = fractional_vertex(n, x)
+    pairs = [
+        (w[None], (random_phase_diag(n, rng) @ u @ w)[None])
+        for w in haar_unitaries(n, 12, rng)
+    ]
+    for w, c in pairs:
+        for scale in (1 - 1e-9, 1 + 1e-9):
+            within = quotient_distance(w[0], c[0]) <= radius * scale
+            assert within == (scale > 1)
+            assert screened_near(w, c, radius * scale) == within
+
+    def closed_form(*args):
+        raise AssertionError("the closed form ran on a pair past the near bound")
+
+    monkeypatch.setattr(unet, "_distances", closed_form)
+    for w, c in pairs:
+        assert screened_near(w, c, radius * (1 + 1e-3))
+
+
+def phi_parts(g):
+    # φ(G) = ⌊G⌋ + √(G − ⌊G⌋) as its two parts ⌊G⌋ and G − ⌊G⌋, exact for
+    # rational G.
+    whole = math.floor(g)
+    return whole, g - whole
+
+
+@given(st.lists(st.floats(0, 1), min_size=1, max_size=6))
+def test_overlap_sums_clear_the_bound_from_their_squares(xs):
+    # Σx ≥ φ(Σx²) for x in [0, 1]ⁿ, in exact rationals: with φ(Σx²) =
+    # k + √f, Σx ≥ k and (Σx − k)² ≥ f.
+    total = sum(map(Fraction, xs))
+    whole, frac = phi_parts(sum(Fraction(x) ** 2 for x in xs))
+    assert total >= whole and (total - whole) ** 2 >= frac
+
+
+@given(st.integers(1, 6), st.integers(0, 5), st.floats(0, 1, exclude_max=True))
+def test_overlap_sum_bound_is_tight_at_its_vertices(n, ones, x):
+    # Equality at (1, …, 1, √f, 0, …, 0), here with √f = x.
+    ones = min(ones, n - 1)
+    xs = [1.0] * ones + [x] + [0.0] * (n - ones - 1)
+    total = sum(map(Fraction, xs))
+    whole, frac = phi_parts(sum(Fraction(v) ** 2 for v in xs))
+    assert whole == ones and (total - whole) ** 2 == frac
+
+
+def test_near_bound_never_falls_below_the_floor():
+    # For θ = n − r²/2 > 0, ψ(θ) ≥ θ²/n since φ(G) ≤ √(nG). From √(2n) on,
+    # every pair is within the radius: the floor prunes none, and the near
+    # bound, θ + slack, is at most the slack.
+    for n in range(1, unet.NET_DIM_CAP + 1):
+        for radius in np.sqrt(2 * n) * np.linspace(0, 3, 31)[1:]:
+            floor, sure = unet._bounds(n, radius)
+            if radius * radius < 2 * n:
+                assert floor <= sure
+            else:
+                assert floor < 0 and sure <= -floor
+
+
+@pytest.mark.parametrize(
+    "n,radius,budget,seed,most",
+    [
+        # 272 pairs, against 3 397 with the near bound Σᵢ|oᵢ| ≥ G.
+        (3, 1.6 / np.sqrt(6), 60, 11, 400),
+        # The benchmark's C8 qubit net: 36 pairs, against 4 884.
+        (2, 0.35, 4000, 77, 100),
+    ],
+)
+def test_near_bound_leaves_few_pairs_to_the_closed_form(
+    monkeypatch, n, radius, budget, seed, most
+):
+    pairs = []
+    within = unet._within
+
+    def counted(ws, cs, a, c, radius):
+        pairs.append(len(a))
+        return within(ws, cs, a, c, radius)
+
+    monkeypatch.setattr(unet, "_within", counted)
+    assert_same_as_sequential(n, radius, budget, seed)
+    assert sum(pairs) <= most
 
 
 @pytest.mark.parametrize("n,radius", [(1, 0.5), (2, 0.5), (3, 1.2), (5, 2.2)])
