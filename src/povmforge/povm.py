@@ -276,6 +276,47 @@ def _floor(deltas):
         psi = np.linalg.eigh(np.einsum("ji,iab->jab", np.sign(e), deltas))[1][..., -1]
 
 
+def _quartic(sums, frob):
+    # (Tr S⁴)^¼ = ‖S²‖_F^½ ≥ ‖S²‖₂^½ = ‖S‖₂ of each Hermitian S in a stack whose
+    # ‖S‖_F are at most frob, from one batched matmul and a norm. S is first
+    # scaled by the power of two 2^-e with frob·2^-e in [1/2, 1), so that the
+    # fourth powers of tiny entries (‖S‖₂ near 1e-150, say) do not vanish.
+    scale = np.ldexp(1.0, -np.frexp(frob)[1])
+    scaled = sums * scale
+    return np.sqrt(np.linalg.norm(scaled @ scaled, axis=(1, 2))) / scale
+
+
+def _slack(n, k, frob):
+    # The rounding slack of both screens in _signed_extremes, for sums of k
+    # (n, n) terms Δ_i with F = frob = Σ_i ‖Δ_i‖_F: a row's computed score never
+    # exceeds its computed bound plus the slack. Let u be the unit roundoff;
+    # |G_ij| sums to at most F² and |τ_i| ≤ √n‖Δ_i‖_F. For Samuelson's bound:
+    # - G_ij is a dot product of length 2n², off by ≤ 2n²·u·‖Δ_i‖_F‖Δ_j‖_F;
+    #   f then nests sums of ≤ k terms two deep and adds its three parts, so
+    #   it is off by ≤ (2n² + 2k + 2)·u·F²;
+    # - t is off by ≤ (n + k)·u·√n·F, so t²/n is off by ≤ 2(n + k)·u·F²;
+    # - √ turns the resulting error of ≤ c·u·F² under the root, with
+    #   c = 2n² + 2n + 4k + 2, into ≤ √(c·u)·F on the bound (√(a+e) ≤ √a + √e);
+    # - the rest is linear in u: |t|/n, the k-term sums that form S (‖·‖_F
+    #   error ≤ k·u·F) and eigvalsh's backward error (≤ p(n)·u·‖S‖₂). Each is
+    #   below √u ≈ 1e-8 times the root term, so doubling that term covers them.
+    # At n = 4, k = 16 that is 2.2e-7·F. Products that underflow to subnormals
+    # are off by up to 2^-1075 in absolute terms; the 2k²n² of them in f amount
+    # to far below the absolute 1e-150 under the root.
+    # The quartic bound of a formed sum S (‖S‖_F ≤ F to first order): complex
+    # products give |fl(S·S) − S·S| ≤ γ_{n+2}|S||S| entrywise, and
+    # ‖|S||S|‖_F ≤ F², so ‖S‖₂ ≤ ‖fl(S²)‖_F^½ + √γ_{n+2}·F, below √(c·u)·F as
+    # c ≥ 2n²; the norm, its roots and eigvalsh are off by multiples of u,
+    # covered by the doubling. Squares and products that underflow in the
+    # scaled S² are off by at most 2^-1074 each: (2n²·2^-1074)^¼·2^e, under
+    # 1e-78·F, in all.
+    # The maximizing row clears the floor too: exact bound ≥ δ ≥ exact floor,
+    # and the floor's rounding, about (n² + 2n + k)·u·F (k expectations of n²
+    # terms, ‖ψ‖ = 1 to n·u), is within c·u·F, far below the doubling.
+    c = 2 * n * n + 2 * n + 4 * k + 2
+    return 2 * np.sqrt(c * np.finfo(float).eps / 2) * frob + 1e-150
+
+
 def _signed_extremes(deltas):
     """max over sign vectors of ‖Σ_i s_i Δ_i‖, for an (m, k, n, n) stack.
 
@@ -293,15 +334,22 @@ def _signed_extremes(deltas):
     Samuelson's inequality bounds ‖S‖₂ ≤ |t|/n + √((n−1)/n · (f − t²/n))
     from t = s·τ (τ_i = Re Tr Δ_i) and f = ‖S‖_F² = sᵀGs (G_ij = Re Tr Δ_iΔ_j)
     with no eigensolve, in chunks of at most max(SIGN_BLOCK_ENTRIES, block)
-    bounds. One pass in enumeration order bounds each chunk once and
-    eigensolves, at most a block at a time, the rows whose bound plus a
-    rounding slack reaches both the best score so far and the floor
-    (:func:`_floor`), a value some state attains. A pruned row scores below
-    the best or below δ, so the maximizing sign vector (the first enumerated,
-    on ties) is the full enumeration's. That sum's rounding depends on the
-    number of sign rows in the product forming it: it is the full enumeration's
-    within 2k·u·Σ_i‖Δ_i‖_F in ‖·‖_F (u the unit roundoff), and so is the
-    value up to eigvalsh's rounding; every n = 4 case checked is bit for bit.
+    bounds. One pass in enumeration order bounds each chunk once and forms,
+    at most a block at a time, the rows whose bound plus a rounding slack
+    reaches both the best score so far and the floor (:func:`_floor`), a
+    value some state attains. Each formed sum S is screened again by
+    ‖S‖₂ ≤ (Tr S⁴)^¼ = ‖S²‖_F^½, from one batched matmul, with the same
+    slack; only the rows that pass both screens are eigensolved. Samuelson's
+    bound uses two moments of the spectrum: at n = 2 it is the exact ‖S‖₂,
+    and the second screen prunes nothing, but past n = 2 it is loose, and
+    the quartic bound rejects nearly every sum it lets through. On a random
+    16-outcome pair on dimension 4, 64 of the 70 eigensolves left are the
+    floor's. A pruned row scores below the best or below δ, so the
+    maximizing sign vector (the first enumerated, on ties) is the full
+    enumeration's. That sum's rounding depends on the number of sign rows
+    in the product forming it: it is the full enumeration's within
+    2k·u·Σ_i‖Δ_i‖_F in ‖·‖_F (u the unit roundoff), and so is the value up
+    to eigvalsh's rounding; every n = 4 case checked is bit for bit.
     """
     m, k, n, _ = deltas.shape
     kept = deltas.reshape(m, k, n * n).any(axis=(0, 2))
@@ -351,27 +399,8 @@ def _signed_extremes(deltas):
         b = np.abs(t) / n + np.sqrt(np.maximum((n - 1) / n * (f - t * t / n), 0.0))
         return b.ravel()
 
-    # The slack covers rounding, so that a row's computed score never exceeds
-    # its computed bound plus slack. With u the unit roundoff and
-    # F = Σ_i ‖Δ_i‖_F (so |G_ij| sums to at most F² and |τ_i| ≤ √n‖Δ_i‖_F):
-    # - G_ij is a dot product of length 2n², off by ≤ 2n²·u·‖Δ_i‖_F‖Δ_j‖_F;
-    #   f then nests sums of ≤ k terms two deep and adds its three parts, so
-    #   it is off by ≤ (2n² + 2k + 2)·u·F²;
-    # - t is off by ≤ (n + k)·u·√n·F, so t²/n is off by ≤ 2(n + k)·u·F²;
-    # - √ turns the resulting error of ≤ c·u·F² under the root, with
-    #   c = 2n² + 2n + 4k + 2, into ≤ √(c·u)·F on the bound (√(a+e) ≤ √a + √e);
-    # - the rest is linear in u: |t|/n, the k-term sums that form S (‖·‖_F
-    #   error ≤ k·u·F) and eigvalsh's backward error (≤ p(n)·u·‖S‖₂). Each is
-    #   below √u ≈ 1e-8 times the root term, so doubling that term covers them.
-    # At n = 4, k = 16 that is 2.2e-7·F. Products that underflow to subnormals
-    # are off by up to 2^-1075 in absolute terms; the 2k²n² of them in f amount
-    # to far below the absolute 1e-150 under the root.
-    # The maximizing row clears the floor too: exact bound ≥ δ ≥ exact floor,
-    # and the floor's rounding, about (n² + 2n + k)·u·F (k expectations of n²
-    # terms, ‖ψ‖ = 1 to n·u), is within c·u·F, far below the doubling.
-    c = 2 * n * n + 2 * n + 4 * k + 2
     frob = np.sqrt(np.diagonal(gram)).sum()
-    slack = 2 * np.sqrt(c * np.finfo(float).eps / 2) * frob + 1e-150
+    slack = _slack(n, k, frob)
 
     # Rows ascend, argmax takes the first maximum, and only a greater score wins.
     floor, best, winner = _floor(deltas[0]), -np.inf, None
@@ -384,6 +413,9 @@ def _signed_extremes(deltas):
             if not len(batch):
                 continue
             sums = (_signs(start * rows + batch, k) @ flat).view(complex).reshape(-1, n, n)
+            sums = sums[_quartic(sums, frob) + slack >= max(floor, best)]
+            if not len(sums):
+                continue
             score = _scores(sums)
             if score.max() > best:
                 best, winner = score.max(), sums[score.argmax()]
@@ -400,11 +432,12 @@ def povm_distance(p, q, return_witness=False):
     outcomes with P_i = Q_i exactly are dropped first (a swap pair keeps
     two). An enumeration that fits one block (512 signed sums at n = 4) is
     formed by one matrix product and eigensolved whole; a longer one is
-    branch and bound (:func:`_signed_extremes`), which eigensolves only the
-    sums whose trace-and-Frobenius bound reaches the best so far and a floor
-    some state attains, so memory does not grow with k. The maximizing sign
-    vector is the full enumeration's, and δ is too up to the rounding of its
-    one signed sum. Capped at 20 outcomes; beyond that use :func:`distance_bounds`.
+    branch and bound (:func:`_signed_extremes`). It forms only the sums whose
+    trace-and-Frobenius bound reaches the best so far and a floor some state
+    attains, and eigensolves only those whose (Tr S⁴)^¼ bound reaches them
+    too, so memory does not grow with k. The maximizing sign vector is the
+    full enumeration's, and δ is too up to the rounding of its one signed
+    sum. Capped at 20 outcomes; beyond that use :func:`distance_bounds`.
 
     With `return_witness` the maximizing pure state is returned alongside,
     from one eigh of the winning signed sum.

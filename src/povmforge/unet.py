@@ -211,7 +211,8 @@ class UnitaryNet:
     """Packing of unitaries at pairwise quotient distance above `radius`.
 
     `centers` is a (k, n, n) complex array; `candidates_tested` counts the
-    Haar draws consumed during construction.
+    Haar draws consumed during construction. A `dim` past NET_DIM_CAP is
+    refused with CapacityError, as :func:`build_net` refuses it.
     """
 
     dim: int
@@ -221,8 +222,7 @@ class UnitaryNet:
     candidates_tested: int = 0
 
     def __post_init__(self):
-        if _count(self.dim, "dimension") < 1:
-            raise ValueError("dimension must be positive")
+        _check_dim(self.dim)
         self.centers = np.asarray(self.centers, dtype=complex)
         if self.centers.ndim != 3 or self.centers.shape[1:] != (self.dim, self.dim):
             raise ValueError("centers must be a (k, dim, dim) array")

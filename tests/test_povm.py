@@ -21,7 +21,11 @@ from povmforge.povm import (
     DensityState,
     Povm,
     _floor,
+    _quartic,
+    _scores,
     _signed_extremes,
+    _signs,
+    _slack,
     _unit_vector,
     born_probabilities,
     check_unitaries,
@@ -676,6 +680,34 @@ def test_pruned_enumeration_keeps_the_first_of_tied_sums(seed, n):
     assert got[0] == want[0] and np.array_equal(winner, first)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+@pytest.mark.parametrize("kind", ["random", "near_rank_one", "tiny"])
+def test_quartic_bound_plus_slack_covers_every_score(n, kind):
+    # Every signed sum of a 10-outcome Hermitian stack, formed as the pruned
+    # enumeration forms it, scores at most its computed (Tr S⁴)^¼ plus the
+    # slack. Near-rank-one sums meet the bound but for their 1e-12 noise, so
+    # rounding decides; at entries near 1e-150 the fourth powers lie far
+    # below the smallest double.
+    k = 10
+    g = np.random.default_rng([2010, n])
+    z = g.standard_normal((k, n, n)) + 1j * g.standard_normal((k, n, n))
+    deltas = (z + z.conj().transpose(0, 2, 1)) / 2
+    if kind != "random":
+        v = g.standard_normal(n) + 1j * g.standard_normal(n)
+        ray = np.outer(v, v.conj()) / np.vdot(v, v).real
+        deltas = g.uniform(-1, 1, k)[:, None, None] * ray + 1e-12 * deltas
+    if kind == "tiny":
+        deltas *= 1e-150
+    flat = deltas.view(float).reshape(k, 2 * n * n)
+    sums = (_signs(np.arange(1 << (k - 1)), k) @ flat).view(complex).reshape(-1, n, n)
+    frob = np.linalg.norm(deltas, axis=(1, 2)).sum()
+    score, quartic = _scores(sums), _quartic(sums, frob)
+    assert (score <= quartic + _slack(n, k, frob)).all()
+    if kind != "random":
+        # The bound is tight here, so the check above is not vacuous.
+        assert (quartic - score <= 1e-9 * frob).all()
+
+
 def count_eigensolves(monkeypatch):
     """Patch eigvalsh and eigh to record the matrices each call solves."""
     solved = []
@@ -690,9 +722,10 @@ def count_eigensolves(monkeypatch):
 
 
 def test_pruned_enumeration_eigensolves_few_sums(monkeypatch):
-    # A random 16-outcome pair eigensolves at most 867 matrices, floor
-    # included, against its 2^15 sums; a swap pair, with 14 zero Δ_i
-    # dropped, its 2.
+    # A random 16-outcome pair eigensolves at most 86 matrices, floor
+    # included, against its 2^15 sums: 70 measured (64 of them the floor's,
+    # four ascent steps of 16), plus one more floor step of margin. A swap
+    # pair, with 14 zero Δ_i dropped, eigensolves its 2.
     rng = Rng(1925)
     p, q = random_povm(4, 16, rng), random_povm(4, 16, rng)
     order = np.arange(16)
@@ -700,20 +733,21 @@ def test_pruned_enumeration_eigensolves_few_sums(monkeypatch):
     swapped = Povm(p.effects[order])
     solved = count_eigensolves(monkeypatch)
     povm_distance(p, q)
-    assert 0 < sum(solved) <= 867
+    assert 0 < sum(solved) <= 86
     solved.clear()
     povm_distance(p, swapped)
     assert sum(solved) == 2
 
 
 def test_pruned_enumeration_eigensolves_few_sums_at_the_cap(monkeypatch):
-    # A random 20-outcome pair eigensolves at most 3079 matrices, floor
-    # included, against its 2^19 sums.
+    # A random 20-outcome pair eigensolves at most 102 matrices, floor
+    # included, against its 2^19 sums: 82 measured, plus one more floor step
+    # of 20 matrices of margin.
     rng = Rng(1903)
     p, q = random_povm(4, 20, rng), random_povm(4, 20, rng)
     solved = count_eigensolves(monkeypatch)
     povm_distance(p, q)
-    assert 0 < sum(solved) <= 3079
+    assert 0 < sum(solved) <= 102
 
 
 def test_pruned_enumeration_memory_at_the_cap():
@@ -747,6 +781,19 @@ def test_chunked_enumeration_matches_exhaustive_bit_for_bit(k, seed):
     g = np.random.default_rng([1950, k, seed])
     p, q = bench_povm(g, k), bench_povm(g, k)
     deltas = (p.effects - q.effects)[None]
+    got, winner = _signed_extremes(deltas)
+    want, first = exhaustive_extremes(deltas)
+    assert got[0] == want[0] and np.array_equal(winner, first)
+
+
+@pytest.mark.parametrize("scale", [1e-90, 1e-140, 1e-300])
+def test_pruned_enumeration_of_tiny_differences_matches_exhaustive(scale):
+    # Tr S⁴ of these sums lies below the smallest double, so the quartic
+    # screen must scale each sum up before squaring it; at 1e-300 every sum
+    # falls under the slack's absolute term and is eigensolved.
+    g = np.random.default_rng([1955, 16])
+    p, q = bench_povm(g, 16), bench_povm(g, 16)
+    deltas = (p.effects - q.effects)[None] * scale
     got, winner = _signed_extremes(deltas)
     want, first = exhaustive_extremes(deltas)
     assert got[0] == want[0] and np.array_equal(winner, first)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from povmforge.detector import controlled_unitary_detector
-from povmforge.linalg import Rng, haar_unitary
+from povmforge.linalg import CapacityError, Rng, haar_unitary
 from povmforge.povm import observable_from_unitary
 from povmforge.serialize import (
     detector_from_json,
@@ -16,7 +16,7 @@ from povmforge.serialize import (
     povm_to_json,
     save_json,
 )
-from povmforge.unet import UnitaryNet, build_net
+from povmforge.unet import NET_DIM_CAP, UnitaryNet, build_net
 
 
 def test_matrix_round_trip():
@@ -97,6 +97,13 @@ def test_empty_net_round_trip():
         back = net_from_json(net_to_json(net))
         assert (back.dim, back.radius, back.seed) == (dim, 0.5, 1)
         assert back.centers.shape == (0, dim, dim) and len(back) == 0
+
+
+def test_net_past_the_dimension_cap_is_refused():
+    n = NET_DIM_CAP + 1
+    obj = {"dim": n, "radius": 0.5, "seed": 1, "centers": []}
+    with pytest.raises(CapacityError, match="net cap"):
+        net_from_json(obj)
 
 
 def test_net_rejects_malformed():

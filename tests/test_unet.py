@@ -220,13 +220,17 @@ def test_build_net_refuses_bad_arguments_before_drawing(n, budget, match):
 
 
 def test_nets_past_the_dimension_cap_are_refused_before_drawing(monkeypatch):
-    # The float32 slack of the Gram bounds holds up to n = 161. The net
-    # handed to certify_coverage is empty, so no 162 × 162 matrix is formed.
+    # The float32 slack of the Gram bounds holds up to n = 161. No net past it
+    # constructs; certify_coverage still refuses one whose dim is raised
+    # after construction. That net is empty, so no 162 × 162 matrix is formed.
     def reached(*args):
         raise AssertionError("build_net ran past the dimension cap")
 
     n = unet.NET_DIM_CAP + 1
-    empty = UnitaryNet(dim=n, radius=0.5, centers=np.zeros((0, n, n)), seed=0)
+    with pytest.raises(CapacityError, match="net cap"):
+        UnitaryNet(dim=n, radius=0.5, centers=np.zeros((0, n, n)), seed=0)
+    empty = UnitaryNet(dim=1, radius=0.5, centers=np.zeros((0, 1, 1)), seed=0)
+    empty.dim = n
     rng = Rng(1)
     before = rng.generator.bit_generator.state
     with pytest.raises(CapacityError, match="net cap"):
@@ -476,8 +480,8 @@ def test_build_net_stopping_at_draw_ends_matches_sequential_loop(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 @pytest.mark.parametrize("factor", [1.01, 3.0])
 def test_nets_past_the_diameter_match_sequential_loop(n, factor):
-    # Past sqrt(2n) the Gram floor max(n − r²/2, 0)²/n is zero, so every
-    # pair passes the screen and the closed form settles it.
+    # Past sqrt(2n) the near bound θ + slack is negative: every pair clears it
+    # and is settled near before the floor is consulted, so _within sees none.
     radius = factor * np.sqrt(2 * n)
     for budget in (1, 60):
         net = assert_same_as_sequential(n, radius, budget, 800 + budget)
