@@ -3,8 +3,9 @@
 A detector is a joint POVM F on system ⊗ ancilla. Feeding it an ancilla
 state σ realizes the system POVM with effects Tr_A[(I ⊗ σ) F_i]. Which
 POVMs are reachable, and how close they come to a target, is the whole
-game; the helpers here build the controlled-unitary family and score
-accuracy against target lists.
+game; the helpers here hold the controlled-unitary family as its branch
+unitaries, its dense joint built only when read, and score accuracy
+against target lists.
 """
 
 from dataclasses import dataclass
@@ -12,13 +13,14 @@ from functools import cached_property
 
 import numpy as np
 
+from .linalg import as_int
 from .povm import (
     PSD_TOL,
     DensityState,
     Povm,
-    _controlled_observable,
     _signed_extremes,
     check_enumerable,
+    check_unitaries,
     povm_distance,
 )
 
@@ -26,8 +28,8 @@ from .povm import (
 class Detector:
     """Joint POVM on a system ⊗ ancilla tensor product.
 
-    Its program map contracts the dense joint stack (:func:`_contract`);
-    :class:`IsometryDetector` is the family programmed through a factor.
+    Its program map contracts the dense joint stack (:func:`_contract`); the
+    isometry and controlled-unitary families below map through their factors.
     """
 
     def __init__(self, sys_dim, anc_dim, joint):
@@ -35,6 +37,7 @@ class Detector:
         self.joint = joint
 
     def _set_shape(self, sys_dim, anc_dim, dim, outcomes):
+        sys_dim, anc_dim = as_int(sys_dim, "sys_dim"), as_int(anc_dim, "anc_dim")
         if sys_dim < 1 or anc_dim < 1:
             raise ValueError("dimensions must be positive")
         if dim != sys_dim * anc_dim:
@@ -116,6 +119,40 @@ class IsometryDetector(Detector):
         return out
 
 
+class ControlledUnitaryDetector(Detector):
+    """Detector measuring basis state i after a unitary selected by the ancilla.
+
+    The interaction U = Σ_k W_k ⊗ |k⟩⟨k| applies W_k when the ancilla sits in
+    basis state k; absorbed into the measurement, it gives the joint effects
+    F_i = U†(|i⟩⟨i| ⊗ I)U = Σ_k W_k†|i⟩⟨i|W_k ⊗ |k⟩⟨k|, block diagonal in k. So
+    the map reads σ's diagonal alone, Q_i = Σ_k σ_kk W_k†|i⟩⟨i|W_k with
+    σ_kk = |v_k|² for a pure program v, and |k⟩⟨k| programs the observable of
+    W_k; for basis B after W_k, pass B†W_k. `unitaries` is the validated
+    (d, n, n) stack, which certifies F positive; `joint` is built when first read.
+    """
+
+    def __init__(self, ws):
+        ws = list(ws)
+        if not ws or len({np.shape(w) for w in ws}) > 1:
+            raise ValueError("need at least one unitary, and all must share one dimension")
+        self.unitaries = check_unitaries(np.array(ws))
+        d, n, _ = self.unitaries.shape
+        self._set_shape(n, d, n * d, n)
+
+    @cached_property
+    def joint(self):
+        # Block k is `observable_from_unitary(W_k)` bit for bit; the rest are exact zeros.
+        ws, (d, n, _) = self.unitaries, self.unitaries.shape
+        joint = np.zeros((n, n, d, n, d), dtype=complex)
+        joint[:, :, np.arange(d), :, np.arange(d)] = np.einsum("kia,kib->kiab", ws.conj(), ws)
+        return Povm.__new__(Povm)._set(joint.reshape(n, n * d, n * d))
+
+    def _program_map(self, state):
+        v = state.vector
+        p = np.diag(state.matrix).real if v is None else np.abs(v) ** 2
+        return np.einsum("k,kia,kib->iab", p, self.unitaries.conj(), self.unitaries)
+
+
 def _dense_isometry(cols, weights):
     """The real matrix V whose row k holds `weights.flat[k]` in column `cols.flat[k]`."""
     v = np.zeros((cols.size, cols.max() + 1))
@@ -163,10 +200,11 @@ def program(f, sigma):
 
     The effects Tr_A[(I ⊗ σ) F_k] come from the detector family's program
     map: one contraction of `sigma.matrix` with the dense joint stack
-    (:func:`_contract`), or an :class:`IsometryDetector`'s sparse rows. That the
-    output is again a valid POVM is a theorem (the programming map sends
-    states into the POVM set); the Povm constructor re-checks it rather than
-    assuming it.
+    (:func:`_contract`), an :class:`IsometryDetector`'s sparse rows, or a
+    :class:`ControlledUnitaryDetector`'s unitaries weighed by σ's diagonal.
+    That the output is again a valid POVM is a theorem (the programming map
+    sends states into the POVM set); the Povm constructor re-checks it
+    rather than assuming it.
     """
     if sigma.dim != f.anc_dim:
         raise ValueError(f"program state dim {sigma.dim} != ancilla dim {f.anc_dim}")
@@ -174,21 +212,8 @@ def program(f, sigma):
 
 
 def controlled_unitary_detector(ws):
-    """Detector measuring basis state i after a unitary selected by the ancilla.
-
-    The interaction U = Σ_k W_k ⊗ |φ_k⟩⟨φ_k| applies W_k when the ancilla
-    sits in computational basis state k; absorbing U into the measurement
-    gives joint effects F_i = U†(|i⟩⟨i| ⊗ I)U = Σ_k W_k†|i⟩⟨i|W_k ⊗ |k⟩⟨k|.
-    Programming with the ancilla state |φ_k⟩⟨φ_k| then reproduces the
-    observable of W_k exactly. To measure in another basis B after W_k, pass
-    B†W_k.
-
-    The joint is built once from the validated unitaries, which certify its
-    positivity; :func:`observable_from_unitary` is its one-branch case.
-    """
-    joint = _controlled_observable(ws)
-    n = len(joint)
-    return Detector(n, joint.dim // n, joint)
+    """The :class:`ControlledUnitaryDetector` of the unitaries `ws`."""
+    return ControlledUnitaryDetector(ws)
 
 
 def accuracy_for_program(f, target, sigma):

@@ -4,9 +4,12 @@ Tensor ordering is system-major throughout the package: the first factor
 of a Kronecker product indexes the system, the second the ancilla.
 `tensor` and `partial_trace_ancilla` are the dense reference for the
 program map. The package never forms I ⊗ σ: it contracts σ with a dense
-joint, or maps a pure state's vector through the sparse rows of an
-isometry detector, and the tests compare both paths against these two.
+joint, maps σ through the sparse rows of an isometry detector, or weighs a
+controlled-unitary detector's branch unitaries by σ's diagonal, and the
+tests compare each path against these two.
 """
+
+import operator
 
 import numpy as np
 
@@ -38,6 +41,14 @@ class Rng:
 
     def __repr__(self):
         return f"Rng(seed={self.seed})"
+
+
+def as_int(value, name):
+    """`value` as an int, refusing NaN, floats and other non-integers."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def as_matrix(m):

@@ -188,38 +188,17 @@ def born_probabilities(rho, p):
     return np.einsum("ij,kji->k", rho.matrix, p.effects).real.tolist()
 
 
-def _controlled_observable(ws):
-    """Joint POVM F_i = Σ_k W_k†|i⟩⟨i|W_k ⊗ |k⟩⟨k| of d unitaries, as (n, nd, nd).
-
-    Each block is an outer product of rows of a unitary that
-    :func:`check_unitaries` accepted, so F is positive, and Hermitian bit for
-    bit (entry (b, a) is the exact conjugate of conj(w_ia)·w_ib). Its
-    completeness check is the per-block one: the off-diagonal blocks are exact zeros, so the residual
-    is the direct sum of the block residuals and its ‖·‖₂ the largest block's.
-    """
-    ws = [np.asarray(w, dtype=complex) for w in ws]
-    if not ws:
-        raise ValueError("need at least one unitary")
-    if len({w.shape for w in ws}) > 1:
-        raise ValueError("all unitaries must share one dimension")
-    ws = check_unitaries(np.array(ws))
-    d, n, _ = ws.shape
-    joint = np.zeros((n, n, d, n, d), dtype=complex)
-    ks = np.arange(d)
-    joint[:, :, ks, :, ks] = np.einsum("kia,kib->kiab", ws.conj(), ws)
-    return Povm.__new__(Povm)._set(joint.reshape(n, n * d, n * d))
-
-
 def observable_from_unitary(w):
     """Rank-1 projector POVM with effects W†|i⟩⟨i|W.
 
     As W ranges over U(n) these cover every orthonormal measurement basis:
-    the basis B's observable W†|b_i⟩⟨b_i|W is that of B†W. It is the
-    one-branch controlled-unitary joint: each effect is an outer product,
-    Hermitian and PSD by construction, so only completeness is checked on
-    the effects.
+    the basis B's observable W†|b_i⟩⟨b_i|W is that of B†W. Each effect is
+    an outer product of rows of a validated unitary, Hermitian bit for bit
+    (entry (b, a) is the exact conjugate of conj(w_ia)·w_ib) and PSD, so
+    only completeness is checked on the effects.
     """
-    return _controlled_observable([w])
+    w = check_unitary(w)
+    return Povm.__new__(Povm)._set(np.einsum("ia,ib->iab", w.conj(), w))
 
 
 def _check_comparable(p, q):

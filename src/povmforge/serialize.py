@@ -2,10 +2,12 @@
 
 Matrices travel as {"rows", "cols", "re", "im"} with row-major entry lists.
 Readers validate shapes and lengths before handing data to the numeric
-constructors, which re-run their own invariants.
+constructors, which re-run their own invariants; sizes, counts and seeds
+must be JSON integers.
 """
 
 import json
+from operator import index
 
 import numpy as np
 
@@ -27,7 +29,7 @@ def matrix_to_json(m):
 
 def matrix_from_json(obj):
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = index(obj["rows"]), index(obj["cols"])
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError) as exc:
@@ -48,7 +50,7 @@ def povm_to_json(p):
 
 def povm_from_json(obj):
     try:
-        dim = int(obj["dim"])
+        dim = index(obj["dim"])
         effects = obj["effects"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed POVM JSON: {exc}") from exc
@@ -71,8 +73,8 @@ def detector_to_json(f):
 
 def detector_from_json(obj):
     try:
-        sys_dim = int(obj["sys_dim"])
-        anc_dim = int(obj["anc_dim"])
+        sys_dim = index(obj["sys_dim"])
+        anc_dim = index(obj["anc_dim"])
         joint = obj["joint"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed detector JSON: {exc}") from exc
@@ -91,11 +93,11 @@ def net_to_json(net):
 
 def net_from_json(obj):
     try:
-        dim = int(obj["dim"])
+        dim = index(obj["dim"])
         radius = float(obj["radius"])
-        seed = int(obj["seed"])
+        seed = index(obj["seed"])
         # Files written before the count was stored read as 0, the default.
-        tested = int(obj.get("candidates_tested", 0))
+        tested = index(obj.get("candidates_tested", 0))
         centers = obj["centers"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed net JSON: {exc}") from exc
@@ -103,6 +105,8 @@ def net_from_json(obj):
         raise ValueError("malformed net JSON: centers must be a list")
     if tested < 0:
         raise ValueError("malformed net JSON: candidates_tested must be nonnegative")
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError("malformed net JSON: seed must fit in 64 unsigned bits")
     mats = [matrix_from_json(c) for c in centers]
     # An empty list reads as the empty (0, dim, dim) stack UnitaryNet accepts.
     mats = np.array(mats) if mats else np.zeros((0, dim, dim), dtype=complex)

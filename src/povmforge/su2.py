@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .detector import IsometryDetector, _dense_isometry
-from .linalg import CapacityError
+from .linalg import CapacityError, as_int
 from .povm import _unit_vector, check_unitary, observable_from_unitary, pure_state
 
 # The caps guard only the dense joints, built when `joint` is read, and the
@@ -246,7 +246,7 @@ def coupling_isometry(j1, j2):
 
 
 def _check_copies(n_copies, least):
-    if n_copies < least:
+    if as_int(n_copies, "program copy count") < least:
         raise ValueError(f"program copy count {n_copies} is below {least}")
     if n_copies > FIURASEK_COPY_CAP:
         raise CapacityError(

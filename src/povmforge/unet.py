@@ -24,13 +24,12 @@ screen's cap, and settled in draw order.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .detector import controlled_unitary_detector
-from .linalg import CapacityError, haar_unitaries
+from .linalg import CapacityError, as_int, haar_unitaries
 from .povm import UNITARY_TOL, check_unitaries, check_unitary
 
 # Entries in one Gram product of the screen (512 KiB in float32): a draw of
@@ -83,17 +82,9 @@ def _draw_size(n):
     return min(math.isqrt(_SCREEN_ENTRIES), 4 * max(1, 288 // (n * n)))
 
 
-def _count(value, name):
-    """`value` as an int, refusing NaN, floats and other non-integers."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _check_dim(n):
     """Refuse a net dimension below 1 or past NET_DIM_CAP."""
-    if _count(n, "dimension") < 1:
+    if as_int(n, "dimension") < 1:
         raise ValueError("dimension must be positive")
     if n > NET_DIM_CAP:
         raise CapacityError(f"dimension {n} exceeds the net cap ({NET_DIM_CAP})")
@@ -258,7 +249,7 @@ def build_net(n, radius, budget, rng):
     _check_dim(n)
     if not 0 < radius < math.inf:
         raise ValueError("radius must be positive and finite")
-    if _count(budget, "budget") < 1:
+    if as_int(budget, "budget") < 1:
         raise ValueError("budget must be at least 1")
     draw = _draw_size(n)
     centres = np.empty((draw, n, n), dtype=complex)  # doubles when full
@@ -303,7 +294,7 @@ def certify_coverage(net, samples, rng):
     at a time. Refused with CapacityError past NET_DIM_CAP.
     """
     _check_dim(net.dim)
-    if _count(samples, "samples") < 1:
+    if as_int(samples, "samples") < 1:
         raise ValueError("need at least one sample")
     centres = net.centers
     draw = _draw_size(net.dim)
@@ -321,9 +312,11 @@ def certify_coverage(net, samples, rng):
 def net_detector(net):
     """Controlled-unitary detector whose program basis enumerates the net.
 
-    For another measurement basis B, pass a net whose centers are B†W_k.
+    It is programmed from the centre stack; its dense (n, n·d, n·d) joint
+    is built only when `joint` is read. For another measurement basis B,
+    pass a net whose centers are B†W_k.
     """
-    return controlled_unitary_detector(list(net.centers))
+    return controlled_unitary_detector(net.centers)
 
 
 @dataclass
@@ -359,7 +352,7 @@ def scaling_scan(n, eps_list, budget, rng, samples=1000):
             raise ValueError(f"epsilon {e} outside (0, 2]")
     if len(set(eps_list)) < 2:
         raise ValueError("the exponent fit needs at least two distinct epsilons")
-    if _count(samples, "samples") < 1:
+    if as_int(samples, "samples") < 1:
         raise ValueError("need at least one sample")
     rows = []
     scale = math.sqrt(2 * n)

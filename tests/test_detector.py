@@ -76,6 +76,12 @@ def test_detector_shape_validation():
         Detector(2, 3, observable_from_unitary(np.eye(4)))
 
 
+@pytest.mark.parametrize("sys_dim,anc_dim", [(2.0, 1), (2, 1.0), (1.5, 1), (2, "1")])
+def test_detector_refuses_non_integer_dimensions(sys_dim, anc_dim):
+    with pytest.raises(ValueError, match="must be an integer"):
+        Detector(sys_dim, anc_dim, observable_from_unitary(np.eye(2)))
+
+
 def test_program_ignores_decoupled_ancilla():
     sys_povm = observable_from_unitary(haar_unitary(2, Rng(1)))
     joint = Povm([tensor(e, np.eye(3)) for e in sys_povm.effects])
@@ -358,6 +364,30 @@ def test_controlled_unitary_builds_one_povm(monkeypatch):
     rng = Rng(1600)
     det = controlled_unitary_detector([haar_unitary(3, rng) for _ in range(4)])
     assert built == [det.joint]
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (1, 3), (2, 1), (2, 5), (3, 4), (5, 7), (8, 3)])
+def test_controlled_unitary_map_matches_the_dense_contraction(n, d):
+    rng = Rng(1700 + 10 * n + d)
+    det = controlled_unitary_detector([haar_unitary(n, rng) for _ in range(d)])
+    v = rng.generator.standard_normal(d) + 1j * rng.generator.standard_normal(d)
+    states = [pure_state(v), maximally_mixed(d), random_state(d, rng), rank_two_state(d, rng)]
+    assert "joint" not in det.__dict__
+    for state in states:
+        got = program(det, state).effects
+        want = _contract(det.joint.effects, state.matrix, n, d)
+        assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n,d", [(1, 2), (2, 3), (3, 5), (4, 2)])
+def test_controlled_unitary_basis_programs_are_the_branch_observables(n, d):
+    rng = Rng(1800 + 10 * n + d)
+    ws = [haar_unitary(n, rng) for _ in range(d)]
+    det = controlled_unitary_detector(ws)
+    for k, w in enumerate(ws):
+        out = program(det, pure_state(np.eye(d)[k]))
+        assert np.array_equal(out.effects, observable_from_unitary(w).effects)
+    assert "joint" not in det.__dict__
 
 
 def test_accuracy_for_matching_program_is_zero():

@@ -115,6 +115,38 @@ def test_net_rejects_malformed():
             net_from_json({**obj, "radius": radius})
 
 
+# Each reader with a valid object for it.
+READERS = {
+    "matrix": (matrix_from_json, lambda: matrix_to_json(np.eye(2))),
+    "POVM": (povm_from_json, lambda: povm_to_json(observable_from_unitary(np.eye(2)))),
+    "detector": (
+        detector_from_json, lambda: detector_to_json(controlled_unitary_detector([np.eye(2)]))
+    ),
+    "net": (net_from_json, lambda: net_to_json(build_net(2, 0.8, 20, Rng(4)))),
+}
+
+
+@pytest.mark.parametrize("kind,field,value", [
+    ("matrix", "rows", 2.7),
+    ("matrix", "cols", 2.0),
+    ("matrix", "rows", "2"),
+    ("POVM", "dim", 2.9),
+    ("detector", "sys_dim", 1.5),
+    ("detector", "anc_dim", 1.0),
+    ("net", "dim", 2.5),
+    ("net", "candidates_tested", 1.9),
+    ("net", "seed", 1.0),
+    ("net", "seed", -1),
+    ("net", "seed", 2 ** 64),
+])
+def test_readers_refuse_non_integer_sizes_and_out_of_range_seeds(kind, field, value):
+    read, valid = READERS[kind]
+    obj = valid()
+    read(obj)
+    with pytest.raises(ValueError, match=f"malformed {kind} JSON"):
+        read({**obj, field: value})
+
+
 def test_file_round_trip(tmp_path):
     p = observable_from_unitary(haar_unitary(2, Rng(5)))
     path = tmp_path / "povm.json"

@@ -460,6 +460,17 @@ def test_fiurasek_program_validation():
     assert sigma.dim == 8
 
 
+@pytest.mark.parametrize("make", [
+    fiurasek_detector,
+    lambda n: fiurasek_program([1.0, 0.0], n),
+    matched_fiurasek_rule,
+], ids=["detector", "program", "rule"])
+@pytest.mark.parametrize("n", [2.0, 2.5, float("nan"), "2"])
+def test_non_integer_copy_counts_are_refused(make, n):
+    with pytest.raises(ValueError, match="copy count must be an integer"):
+        make(n)
+
+
 def test_fiurasek_program_rejects_bad_inputs():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

@@ -356,6 +356,24 @@ def test_qutrit_net_detector_matches_full_validation():
     assert np.array_equal(joint.effects, Povm(list(joint.effects)).effects)
 
 
+def test_qutrit_net_detector_programs_without_its_joint():
+    # 995 qutrit centres: the dense joint would hold 3·(3·995)² complex
+    # entries, 408 MiB; a basis program reads the (995, 3, 3) stack alone.
+    net = build_net(3, 1.6 / np.sqrt(6), 500, Rng(11))
+    assert len(net) == 995
+    basis_state = pure_state(np.arange(len(net)) == 700)
+    tracemalloc.start()
+    try:
+        det = net_detector(net)
+        out = program(det, basis_state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "joint" not in det.__dict__
+    assert peak <= 4 * 2**20
+    assert np.array_equal(out.effects, observable_from_unitary(net.centers[700]).effects)
+
+
 def test_net_detector_rejects_empty():
     net = UnitaryNet(dim=2, radius=0.5, centers=np.zeros((0, 2, 2)), seed=0)
     with pytest.raises(ValueError):
