@@ -24,12 +24,16 @@ class Rng:
     """Seeded random stream.
 
     Wraps numpy's Generator so every experiment is replayable from a single
-    integer. Instances are single-owner; use :meth:`child` to derive
-    independent streams for parallel or per-row work instead of sharing one.
+    integer in [0, 2^64); floats, strings and bools are refused. Instances
+    are single-owner; use :meth:`child` to derive independent streams for
+    parallel or per-row work instead of sharing one.
     """
 
     def __init__(self, seed):
-        self.seed = int(seed)
+        # operator.index takes True as 1: a flag is not a seed.
+        if isinstance(seed, bool):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
+        self.seed = as_int(seed, "seed")
         if self.seed < 0 or self.seed >= 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
         self.generator = np.random.default_rng(self.seed)

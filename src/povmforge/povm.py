@@ -241,18 +241,27 @@ def _floor(deltas):
     From each Δ_i's top eigenvector, set s_i = sign⟨ψ|Δ_i|ψ⟩ and move ψ to the
     top eigenvector of S = Σ_i s_i Δ_i, so Σ_i |⟨ψ|Δ_i|ψ⟩| ≥ ⟨ψ|S|ψ⟩ never falls.
     Stop when the best value stops rising; finitely many signs fix each ψ.
+    Each step's k expectations and k signed sums are two real matrix
+    products with the stack. The floor only decides which sign vectors are
+    pruned, never the value returned.
     """
-    k = len(deltas)
+    k, n, _ = deltas.shape
+    # Real and imaginary parts side by side: Re⟨ψ|Δ_i|ψ⟩ is the real dot
+    # product of ψψ̄ᵀ with Δ_i, and both the expectations and the signed sums
+    # are real matrix products with this (k, 2n²) view.
+    flat = np.ascontiguousarray(deltas).view(float).reshape(k, 2 * n * n)
     vals, vecs = np.linalg.eigh(deltas)
     psi = vecs[np.arange(k), :, np.abs(vals).argmax(axis=1)]
     floor = -np.inf
     while True:
-        e = np.einsum("ja,iab,jb->ji", psi.conj(), deltas, psi).real
+        outer = psi[:, :, None] * psi.conj()[:, None, :]
+        e = outer.view(float).reshape(len(psi), 2 * n * n) @ flat.T
         value = np.abs(e).sum(axis=1).max()
         if not value > floor:
             return floor
         floor = value
-        psi = np.linalg.eigh(np.einsum("ji,iab->jab", np.sign(e), deltas))[1][..., -1]
+        sums = (np.sign(e) @ flat).view(complex).reshape(-1, n, n)
+        psi = np.linalg.eigh(sums)[1][..., -1]
 
 
 def _quartic(sums, frob):
@@ -266,7 +275,7 @@ def _quartic(sums, frob):
 
 
 def _slack(n, k, frob):
-    # The rounding slack of both screens in _signed_extremes, for sums of k
+    # The rounding slack of the three screens in _signed_extremes, for sums of k
     # (n, n) terms Δ_i with F = frob = Σ_i ‖Δ_i‖_F: a row's computed score never
     # exceeds its computed bound plus the slack. Let u be the unit roundoff;
     # |G_ij| sums to at most F² and |τ_i| ≤ √n‖Δ_i‖_F. For Samuelson's bound:
@@ -282,6 +291,10 @@ def _slack(n, k, frob):
     # At n = 4, k = 16 that is 2.2e-7·F. Products that underflow to subnormals
     # are off by up to 2^-1075 in absolute terms; the 2k²n² of them in f amount
     # to far below the absolute 1e-150 under the root.
+    # The Frobenius screen ‖S‖₂ ≤ √f, run before Samuelson's bound, needs no
+    # more: f alone is off by ≤ (2n² + 2k + 2)·u·F², below c·u·F², so √f is off
+    # by ≤ √(c·u)·F, half the slack, and the linear terms above fit in the
+    # other half. A row it drops, √f + slack < least, scores below least.
     # The quartic bound of a formed sum S (‖S‖_F ≤ F to first order): complex
     # products give |fl(S·S) − S·S| ≤ γ_{n+2}|S||S| entrywise, and
     # ‖|S||S|‖_F ≤ F², so ‖S‖₂ ≤ ‖fl(S²)‖_F^½ + √γ_{n+2}·F, below √(c·u)·F as
@@ -290,8 +303,8 @@ def _slack(n, k, frob):
     # scaled S² are off by at most 2^-1074 each: (2n²·2^-1074)^¼·2^e, under
     # 1e-78·F, in all.
     # The maximizing row clears the floor too: exact bound ≥ δ ≥ exact floor,
-    # and the floor's rounding, about (n² + 2n + k)·u·F (k expectations of n²
-    # terms, ‖ψ‖ = 1 to n·u), is within c·u·F, far below the doubling.
+    # and the floor's rounding, about (2n² + 2n + k)·u·F (k dot products of
+    # ψψ̄ᵀ's 2n² parts, ‖ψ‖ = 1 to n·u), is within c·u·F, far below the doubling.
     c = 2 * n * n + 2 * n + 4 * k + 2
     return 2 * np.sqrt(c * np.finfo(float).eps / 2) * frob + 1e-150
 
@@ -313,15 +326,19 @@ def _signed_extremes(deltas):
     Samuelson's inequality bounds ‖S‖₂ ≤ |t|/n + √((n−1)/n · (f − t²/n))
     from t = s·τ (τ_i = Re Tr Δ_i) and f = ‖S‖_F² = sᵀGs (G_ij = Re Tr Δ_iΔ_j)
     with no eigensolve, in chunks of at most max(SIGN_BLOCK_ENTRIES, block)
-    bounds. One pass in enumeration order bounds each chunk once and forms,
-    at most a block at a time, the rows whose bound plus a rounding slack
-    reaches both the best score so far and the floor (:func:`_floor`), a
-    value some state attains. Each formed sum S is screened again by
-    ‖S‖₂ ≤ (Tr S⁴)^¼ = ‖S²‖_F^½, from one batched matmul, with the same
-    slack; only the rows that pass both screens are eigensolved. Samuelson's
-    bound uses two moments of the spectrum: at n = 2 it is the exact ‖S‖₂,
-    and the second screen prunes nothing, but past n = 2 it is loose, and
-    the quartic bound rejects nearly every sum it lets through. On a random
+    rows. One pass in enumeration order visits each chunk once. Let least be
+    the larger of the best score so far and the floor (:func:`_floor`), a
+    value some state attains. The chunk's f come first: as ‖S‖₂ ≤ Samuelson's
+    bound ≤ √f, a row with √f plus a rounding slack below least is dropped
+    before its t is read (about 95% of rows on a random 16-outcome pair on
+    dimension 4). The pass forms, at most a block at a time, the rows left
+    whose Samuelson bound plus the slack reaches least. Past n = 2 each
+    formed sum S is screened again by ‖S‖₂ ≤ (Tr S⁴)^¼ = ‖S²‖_F^½, from one
+    batched matmul, with the same slack; only the rows that pass every
+    screen are eigensolved. Samuelson's bound uses two moments of the
+    spectrum: at n ≤ 2 it is the exact ‖S‖₂, so the quartic screen would
+    prune nothing and is skipped, but past n = 2 it is loose, and the
+    quartic bound rejects nearly every sum it lets through. On a random
     16-outcome pair on dimension 4, 64 of the 70 eigensolves left are the
     floor's. A pruned row scores below the best or below δ, so the
     maximizing sign vector (the first enumerated, on ties) is the full
@@ -365,18 +382,24 @@ def _signed_extremes(deltas):
     per = max(1, SIGN_BLOCK_ENTRIES // rows)
     starts = range(0, blocks, per)
 
-    def bounds(chunk):
-        # The per·rows bounds of the sums in one chunk of blocks: t and f
-        # split into head, tail and head × tail parts.
+    def bounds(chunk, least):
+        # The rows of one chunk of blocks whose bound plus the slack reaches
+        # least, and those bounds. t and f split into head, tail and head ×
+        # tail parts. ‖S‖₂ ≤ √f, so a row with √f + slack < least is dropped
+        # before its t and Samuelson's bound are formed.
         head = _signs(np.arange(starts[chunk], min(starts[chunk] + per, blocks)), h)
-        t = (tau[:h] @ head.T)[:, None] + t_tail
         f = (
             ((head @ gram[:h, :h]) * head).sum(axis=-1)[:, None]
             + f_tail
             + 2 * (head @ gram[:h, h:]) @ tail.T
-        )
-        b = np.abs(t) / n + np.sqrt(np.maximum((n - 1) / n * (f - t * t / n), 0.0))
-        return b.ravel()
+        ).ravel()
+        cut = least - slack
+        at = np.flatnonzero(f >= cut * cut) if cut > 0 else np.arange(len(f))
+        t = (tau[:h] @ head.T)[at // rows] + t_tail[at % rows]
+        f = f[at]
+        b = np.abs(t) / n + np.sqrt(np.maximum((n - 1) / n * (f - t * t / n), 0.0)) + slack
+        keep = b >= least
+        return at[keep], b[keep]
 
     frob = np.sqrt(np.diagonal(gram)).sum()
     slack = _slack(n, k, frob)
@@ -384,15 +407,16 @@ def _signed_extremes(deltas):
     # Rows ascend, argmax takes the first maximum, and only a greater score wins.
     floor, best, winner = _floor(deltas[0]), -np.inf, None
     for chunk, start in enumerate(starts):
-        b = bounds(chunk) + slack
-        keep = np.flatnonzero(b >= max(floor, best))
+        keep, b = bounds(chunk, max(floor, best))
         for pos in range(0, len(keep), rows):
-            batch = keep[pos : pos + rows]
-            batch = batch[b[batch] >= max(floor, best)]
+            batch = keep[pos : pos + rows][b[pos : pos + rows] >= max(floor, best)]
             if not len(batch):
                 continue
             sums = (_signs(start * rows + batch, k) @ flat).view(complex).reshape(-1, n, n)
-            sums = sums[_quartic(sums, frob) + slack >= max(floor, best)]
+            # At n ≤ 2 Samuelson's bound is the exact ‖S‖₂: the quartic one
+            # would prune nothing more.
+            if n > 2:
+                sums = sums[_quartic(sums, frob) + slack >= max(floor, best)]
             if not len(sums):
                 continue
             score = _scores(sums)
@@ -411,10 +435,11 @@ def povm_distance(p, q, return_witness=False):
     outcomes with P_i = Q_i exactly are dropped first (a swap pair keeps
     two). An enumeration that fits one block (512 signed sums at n = 4) is
     formed by one matrix product and eigensolved whole; a longer one is
-    branch and bound (:func:`_signed_extremes`). It forms only the sums whose
-    trace-and-Frobenius bound reaches the best so far and a floor some state
-    attains, and eigensolves only those whose (Tr S⁴)^¼ bound reaches them
-    too, so memory does not grow with k. The maximizing sign vector is the
+    branch and bound (:func:`_signed_extremes`). Against the best so far
+    and a floor some state attains, it drops most sign vectors by ‖S‖_F
+    alone, forms only the sums whose trace-and-Frobenius bound reaches both,
+    and eigensolves only those whose (Tr S⁴)^¼ bound reaches them too, so
+    memory does not grow with k. The maximizing sign vector is the
     full enumeration's, and δ is too up to the rounding of its one signed
     sum. Capped at 20 outcomes; beyond that use :func:`distance_bounds`.
 

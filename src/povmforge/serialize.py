@@ -3,7 +3,7 @@
 Matrices travel as {"rows", "cols", "re", "im"} with row-major entry lists.
 Readers validate shapes and lengths before handing data to the numeric
 constructors, which re-run their own invariants; sizes, counts and seeds
-must be JSON integers.
+must be JSON integers, and a net's radius a JSON number.
 """
 
 import json
@@ -94,12 +94,16 @@ def net_to_json(net):
 def net_from_json(obj):
     try:
         dim = index(obj["dim"])
-        radius = float(obj["radius"])
+        radius = obj["radius"]
+        # float() would also read the string "0.8" and true as radii.
+        if isinstance(radius, bool) or not isinstance(radius, (int, float)):
+            raise TypeError(f"radius must be a number, got {radius!r}")
+        radius = float(radius)
         seed = index(obj["seed"])
         # Files written before the count was stored read as 0, the default.
         tested = index(obj.get("candidates_tested", 0))
         centers = obj["centers"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed net JSON: {exc}") from exc
     if not isinstance(centers, list):
         raise ValueError("malformed net JSON: centers must be a list")

@@ -176,3 +176,15 @@ def test_rng_rejects_bad_seed():
         Rng(-1)
     with pytest.raises(ValueError):
         Rng(2 ** 64)
+
+
+@pytest.mark.parametrize("seed", [2.7, float("nan"), "3", True])
+def test_rng_refuses_seeds_that_are_not_integers(seed):
+    # int() would truncate 2.7 to 2 and read True as 1.
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        Rng(seed)
+
+
+def test_rng_takes_numpy_unsigned_seeds():
+    # Rng.child passes its derived seed as an np.uint64.
+    assert Rng(np.uint64(2 ** 64 - 1)).seed == 2 ** 64 - 1

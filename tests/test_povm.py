@@ -708,6 +708,71 @@ def test_quartic_bound_plus_slack_covers_every_score(n, kind):
         assert (quartic - score <= 1e-9 * frob).all()
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+@pytest.mark.parametrize("kind", ["random", "near_rank_one", "tiny"])
+def test_frobenius_bound_plus_slack_covers_every_score(n, kind):
+    # Every signed sum of a 10-outcome Hermitian stack scores at most √f plus
+    # the slack, with f = ‖S‖_F² formed as the pruned enumeration's first
+    # screen forms it: head, tail and head × tail parts of sᵀGs. Near-rank-one
+    # sums have ‖S‖₂ = ‖S‖_F but for their 1e-12 noise, so rounding decides.
+    k, h = 10, 4
+    g = np.random.default_rng([2015, n])
+    z = g.standard_normal((k, n, n)) + 1j * g.standard_normal((k, n, n))
+    deltas = (z + z.conj().transpose(0, 2, 1)) / 2
+    if kind != "random":
+        v = g.standard_normal(n) + 1j * g.standard_normal(n)
+        ray = np.outer(v, v.conj()) / np.vdot(v, v).real
+        deltas = g.uniform(-1, 1, k)[:, None, None] * ray + 1e-12 * deltas
+    if kind == "tiny":
+        deltas *= 1e-150
+    flat = deltas.view(float).reshape(k, 2 * n * n)
+    gram = flat @ flat.T
+    head = _signs(np.arange(1 << (h - 1)), h)
+    tail = _signs(np.arange(1 << (k - h)), k - h + 1)[:, 1:]
+    f = (
+        ((head @ gram[:h, :h]) * head).sum(axis=-1)[:, None]
+        + ((tail @ gram[h:, h:]) * tail).sum(axis=-1)
+        + 2 * (head @ gram[:h, h:]) @ tail.T
+    ).ravel()
+    sums = (_signs(np.arange(1 << (k - 1)), k) @ flat).view(complex).reshape(-1, n, n)
+    frob = np.linalg.norm(deltas, axis=(1, 2)).sum()
+    score, root = _scores(sums), np.sqrt(np.maximum(f, 0.0))
+    assert (score <= root + _slack(n, k, frob)).all()
+    if kind != "random":
+        # The bound is tight here, so the check above is not vacuous.
+        assert (root - score <= 1e-9 * frob).all()
+
+
+def einsum_floor(deltas):
+    """Reference ascent of :func:`_floor`, its expectations and signed sums
+    formed by complex einsums over the (k, n, n) stack."""
+    k = len(deltas)
+    vals, vecs = np.linalg.eigh(deltas)
+    psi = vecs[np.arange(k), :, np.abs(vals).argmax(axis=1)]
+    floor = -np.inf
+    while True:
+        e = np.einsum("ja,iab,jb->ji", psi.conj(), deltas, psi).real
+        value = np.abs(e).sum(axis=1).max()
+        if not value > floor:
+            return floor
+        floor = value
+        psi = np.linalg.eigh(np.einsum("ji,iab->jab", np.sign(e), deltas))[1][..., -1]
+
+
+@pytest.mark.parametrize("n, k", [(2, 14), (3, 12), (4, 16), (5, 12)])
+def test_floor_matches_the_einsum_ascent(n, k):
+    # The floor's real matrix products round differently from the einsums:
+    # within k·n·u·F (u the unit roundoff, F = Σ_i ‖Δ_i‖_F), 0.023·k·n·u·F at
+    # most on these draws.
+    u = np.finfo(float).eps / 2
+    for seed in range(10):
+        g = np.random.default_rng([1990, n, k, seed])
+        p, q = bench_povm(g, k, n), bench_povm(g, k, n)
+        deltas = p.effects - q.effects
+        frob = np.linalg.norm(deltas, axis=(1, 2)).sum()
+        assert abs(_floor(deltas) - einsum_floor(deltas)) <= k * n * u * frob
+
+
 def count_eigensolves(monkeypatch):
     """Patch eigvalsh and eigh to record the matrices each call solves."""
     solved = []
@@ -784,6 +849,18 @@ def test_chunked_enumeration_matches_exhaustive_bit_for_bit(k, seed):
     got, winner = _signed_extremes(deltas)
     want, first = exhaustive_extremes(deltas)
     assert got[0] == want[0] and np.array_equal(winner, first)
+
+
+# k = 14 fits one chunk of 8192 bounds, k = 17 spans eight and k = 19 thirty-two.
+@pytest.mark.parametrize("k", [14, 17, 19])
+def test_pruned_enumeration_matches_exhaustive_bit_for_bit_at_other_chunk_counts(k):
+    for seed in range(4):
+        g = np.random.default_rng([1950, k, seed])
+        p, q = bench_povm(g, k), bench_povm(g, k)
+        deltas = (p.effects - q.effects)[None]
+        got, winner = _signed_extremes(deltas)
+        want, first = exhaustive_extremes(deltas)
+        assert got[0] == want[0] and np.array_equal(winner, first)
 
 
 @pytest.mark.parametrize("scale", [1e-90, 1e-140, 1e-300])

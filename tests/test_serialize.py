@@ -115,6 +115,15 @@ def test_net_rejects_malformed():
             net_from_json({**obj, "radius": radius})
 
 
+@pytest.mark.parametrize("radius", ["0.8", True, 10 ** 400], ids=["string", "bool", "1e400"])
+def test_net_radius_must_be_a_json_number(radius):
+    # A string or a boolean is no radius, and an integer past the largest
+    # double is no finite one.
+    obj = net_to_json(build_net(2, 0.8, 20, Rng(4)))
+    with pytest.raises(ValueError, match="malformed net JSON"):
+        net_from_json({**obj, "radius": radius})
+
+
 # Each reader with a valid object for it.
 READERS = {
     "matrix": (matrix_from_json, lambda: matrix_to_json(np.eye(2))),
