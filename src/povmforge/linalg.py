@@ -30,9 +30,6 @@ class Rng:
     """
 
     def __init__(self, seed):
-        # operator.index takes True as 1: a flag is not a seed.
-        if isinstance(seed, bool):
-            raise ValueError(f"seed must be an integer, got {seed!r}")
         self.seed = as_int(seed, "seed")
         if self.seed < 0 or self.seed >= 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
@@ -48,11 +45,14 @@ class Rng:
 
 
 def as_int(value, name):
-    """`value` as an int, refusing NaN, floats and other non-integers."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    """`value` as an int, refusing bools, NaN, floats and other non-integers."""
+    # operator.index takes True as 1: a flag is not a size, a count or a seed.
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def as_matrix(m):
@@ -129,9 +129,9 @@ def haar_unitaries(n, count, rng):
     matrix alone, so the stack and the generator's final state are bit for
     bit those of `count` one-draw calls.
     """
-    if n < 1:
+    if as_int(n, "dimension") < 1:
         raise ValueError("dimension must be positive")
-    if count < 0:
+    if as_int(count, "count") < 0:
         raise ValueError("count must be nonnegative")
     parts = rng.generator.standard_normal((count, 2, n, n))
     z = (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2)

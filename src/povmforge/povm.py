@@ -9,7 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import CapacityError, as_matrix, check_hermitian, op_norm
+from .linalg import CapacityError, as_int, as_matrix, check_hermitian, op_norm
 
 PSD_TOL = 1e-9
 SUM_TOL = 1e-9
@@ -176,7 +176,7 @@ def pure_state(vector):
 
 
 def maximally_mixed(n):
-    if n < 1:
+    if as_int(n, "dimension") < 1:
         raise ValueError("dimension must be positive")
     return DensityState(np.eye(n) / n)
 
@@ -326,19 +326,18 @@ def _signed_extremes(deltas):
     Samuelson's inequality bounds ‖S‖₂ ≤ |t|/n + √((n−1)/n · (f − t²/n))
     from t = s·τ (τ_i = Re Tr Δ_i) and f = ‖S‖_F² = sᵀGs (G_ij = Re Tr Δ_iΔ_j)
     with no eigensolve, in chunks of at most max(SIGN_BLOCK_ENTRIES, block)
-    rows. One pass in enumeration order visits each chunk once. Let least be
+    rows. One loop in enumeration order visits each chunk once. Let least be
     the larger of the best score so far and the floor (:func:`_floor`), a
-    value some state attains. The chunk's f come first: as ‖S‖₂ ≤ Samuelson's
-    bound ≤ √f, a row with √f plus a rounding slack below least is dropped
-    before its t is read (about 95% of rows on a random 16-outcome pair on
-    dimension 4). The pass forms, at most a block at a time, the rows left
-    whose Samuelson bound plus the slack reaches least. Past n = 2 each
-    formed sum S is screened again by ‖S‖₂ ≤ (Tr S⁴)^¼ = ‖S²‖_F^½, from one
-    batched matmul, with the same slack; only the rows that pass every
-    screen are eigensolved. Samuelson's bound uses two moments of the
-    spectrum: at n ≤ 2 it is the exact ‖S‖₂, so the quartic screen would
-    prune nothing and is skipped, but past n = 2 it is loose, and the
-    quartic bound rejects nearly every sum it lets through. On a random
+    value some state attains. Each chunk is screened first: as ‖S‖₂ ≤
+    Samuelson's bound ≤ √f, a row with √f plus a rounding slack below least
+    is dropped before its t is read (about 95% of rows on a random
+    16-outcome pair on dimension 4), and then a row whose Samuelson bound
+    plus the slack is below least. The rows left are formed at most a block
+    at a time, each formed sum S is screened again by ‖S‖₂ ≤ (Tr S⁴)^¼ =
+    ‖S²‖_F^½, from one batched matmul, with the same slack against least as
+    it then stands, and only the sums that pass are eigensolved. Samuelson's
+    bound uses two moments of the spectrum, so past n = 2 it is loose, and
+    the quartic bound rejects nearly every sum it lets through. On a random
     16-outcome pair on dimension 4, 64 of the 70 eigensolves left are the
     floor's. A pruned row scores below the best or below δ, so the
     maximizing sign vector (the first enumerated, on ties) is the full
@@ -380,48 +379,37 @@ def _signed_extremes(deltas):
     f_tail = ((tail @ gram[h:, h:]) * tail).sum(axis=-1)
     blocks = 1 << (h - 1)
     per = max(1, SIGN_BLOCK_ENTRIES // rows)
-    starts = range(0, blocks, per)
-
-    def bounds(chunk, least):
-        # The rows of one chunk of blocks whose bound plus the slack reaches
-        # least, and those bounds. t and f split into head, tail and head ×
-        # tail parts. ‖S‖₂ ≤ √f, so a row with √f + slack < least is dropped
-        # before its t and Samuelson's bound are formed.
-        head = _signs(np.arange(starts[chunk], min(starts[chunk] + per, blocks)), h)
-        f = (
-            ((head @ gram[:h, :h]) * head).sum(axis=-1)[:, None]
-            + f_tail
-            + 2 * (head @ gram[:h, h:]) @ tail.T
-        ).ravel()
-        cut = least - slack
-        at = np.flatnonzero(f >= cut * cut) if cut > 0 else np.arange(len(f))
-        t = (tau[:h] @ head.T)[at // rows] + t_tail[at % rows]
-        f = f[at]
-        b = np.abs(t) / n + np.sqrt(np.maximum((n - 1) / n * (f - t * t / n), 0.0)) + slack
-        keep = b >= least
-        return at[keep], b[keep]
-
     frob = np.sqrt(np.diagonal(gram)).sum()
     slack = _slack(n, k, frob)
 
     # Rows ascend, argmax takes the first maximum, and only a greater score wins.
     floor, best, winner = _floor(deltas[0]), -np.inf, None
-    for chunk, start in enumerate(starts):
-        keep, b = bounds(chunk, max(floor, best))
+    for start in range(0, blocks, per):
+        # One chunk of blocks: t and f split into head, tail and head × tail
+        # parts. ‖S‖₂ ≤ √f, so a row with √f + slack < least is dropped before
+        # its t and Samuelson's bound are formed.
+        head = _signs(np.arange(start, min(start + per, blocks)), h)
+        f = (
+            ((head @ gram[:h, :h]) * head).sum(axis=-1)[:, None]
+            + f_tail
+            + 2 * (head @ gram[:h, h:]) @ tail.T
+        ).ravel()
+        least = max(floor, best)
+        cut = least - slack
+        at = np.flatnonzero(f >= cut * cut) if cut > 0 else np.arange(len(f))
+        t = (tau[:h] @ head.T)[at // rows] + t_tail[at % rows]
+        f = f[at]
+        b = np.abs(t) / n + np.sqrt(np.maximum((n - 1) / n * (f - t * t / n), 0.0))
+        keep = start * rows + at[b + slack >= least]
+        # The rows left are formed at most a block at a time (the memory
+        # guard), screened by the quartic bound, and only then eigensolved.
         for pos in range(0, len(keep), rows):
-            batch = keep[pos : pos + rows][b[pos : pos + rows] >= max(floor, best)]
-            if not len(batch):
-                continue
-            sums = (_signs(start * rows + batch, k) @ flat).view(complex).reshape(-1, n, n)
-            # At n ≤ 2 Samuelson's bound is the exact ‖S‖₂: the quartic one
-            # would prune nothing more.
-            if n > 2:
-                sums = sums[_quartic(sums, frob) + slack >= max(floor, best)]
-            if not len(sums):
-                continue
-            score = _scores(sums)
-            if score.max() > best:
-                best, winner = score.max(), sums[score.argmax()]
+            sums = (_signs(keep[pos : pos + rows], k) @ flat).view(complex).reshape(-1, n, n)
+            sums = sums[_quartic(sums, frob) + slack >= max(floor, best)]
+            if len(sums):
+                score = _scores(sums)
+                if score.max() > best:
+                    best, winner = score.max(), sums[score.argmax()]
     return np.array([best]), winner[None]
 
 

@@ -3,16 +3,15 @@
 Matrices travel as {"rows", "cols", "re", "im"} with row-major entry lists.
 Readers validate shapes and lengths before handing data to the numeric
 constructors, which re-run their own invariants; sizes, counts and seeds
-must be JSON integers, and a net's radius a JSON number.
+must be JSON integers (not true or false), and a net's radius a JSON
+number.
 """
 
 import json
-from operator import index
-
 import numpy as np
 
 from .detector import Detector
-from .linalg import as_matrix
+from .linalg import as_int, as_matrix
 from .povm import Povm
 from .unet import UnitaryNet
 
@@ -29,10 +28,10 @@ def matrix_to_json(m):
 
 def matrix_from_json(obj):
     try:
-        rows, cols = index(obj["rows"]), index(obj["cols"])
+        rows, cols = as_int(obj["rows"], "rows"), as_int(obj["cols"], "cols")
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive")
@@ -50,9 +49,9 @@ def povm_to_json(p):
 
 def povm_from_json(obj):
     try:
-        dim = index(obj["dim"])
+        dim = as_int(obj["dim"], "dim")
         effects = obj["effects"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed POVM JSON: {exc}") from exc
     if not isinstance(effects, list):
         raise ValueError("malformed POVM JSON: effects must be a list")
@@ -73,10 +72,10 @@ def detector_to_json(f):
 
 def detector_from_json(obj):
     try:
-        sys_dim = index(obj["sys_dim"])
-        anc_dim = index(obj["anc_dim"])
+        sys_dim = as_int(obj["sys_dim"], "sys_dim")
+        anc_dim = as_int(obj["anc_dim"], "anc_dim")
         joint = obj["joint"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed detector JSON: {exc}") from exc
     return Detector(sys_dim, anc_dim, povm_from_json(joint))
 
@@ -93,17 +92,17 @@ def net_to_json(net):
 
 def net_from_json(obj):
     try:
-        dim = index(obj["dim"])
+        dim = as_int(obj["dim"], "dim")
         radius = obj["radius"]
         # float() would also read the string "0.8" and true as radii.
         if isinstance(radius, bool) or not isinstance(radius, (int, float)):
             raise TypeError(f"radius must be a number, got {radius!r}")
         radius = float(radius)
-        seed = index(obj["seed"])
+        seed = as_int(obj["seed"], "seed")
         # Files written before the count was stored read as 0, the default.
-        tested = index(obj.get("candidates_tested", 0))
+        tested = as_int(obj.get("candidates_tested", 0), "candidates_tested")
         centers = obj["centers"]
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed net JSON: {exc}") from exc
     if not isinstance(centers, list):
         raise ValueError("malformed net JSON: centers must be a list")

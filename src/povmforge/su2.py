@@ -275,7 +275,7 @@ def dicke_state(num_qubits, num_excited):
     Qubit 0 is the most significant bit of the index, matching the
     system-major tensor ordering.
     """
-    if not 0 <= num_excited <= num_qubits:
+    if not 0 <= as_int(num_excited, "excitation count") <= as_int(num_qubits, "qubit count"):
         raise ValueError("excitation count out of range")
     cols, weights = _dicke_factors(num_qubits)
     return np.where(cols == num_excited, weights, 0.0)
@@ -288,7 +288,7 @@ def symmetric_projector(num_qubits):
     averaging the N! permutation operators gives the same operator and
     serves as the test oracle for small N.
     """
-    if num_qubits < 1:
+    if as_int(num_qubits, "qubit count") < 1:
         raise ValueError("need at least one qubit")
     basis = _dense_isometry(*_dicke_factors(num_qubits))
     return basis @ basis.T

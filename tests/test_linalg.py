@@ -3,15 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from povmforge.detector import Detector
 from povmforge.linalg import (
     Rng,
     fro_norm,
+    haar_unitaries,
     haar_unitary,
     herm_eigs,
     op_norm,
     partial_trace_ancilla,
     tensor,
 )
+from povmforge.povm import maximally_mixed, observable_from_unitary
+from povmforge.su2 import dicke_state, fiurasek_detector, symmetric_projector
+from povmforge.unet import build_net
 
 
 def rand_herm(rng, n):
@@ -183,6 +188,29 @@ def test_rng_refuses_seeds_that_are_not_integers(seed):
     # int() would truncate 2.7 to 2 and read True as 1.
     with pytest.raises(ValueError, match="seed must be an integer"):
         Rng(seed)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: maximally_mixed(2.0),
+    lambda: haar_unitaries(2.5, 3, Rng(1)),
+    lambda: haar_unitaries(2, 3.0, Rng(1)),
+    lambda: haar_unitary(2.5, Rng(1)),
+    lambda: dicke_state(2.0, 1),
+    lambda: dicke_state(2, 1.0),
+    lambda: symmetric_projector(2.0),
+    lambda: Detector(True, 1, observable_from_unitary(np.eye(1))),
+    lambda: build_net(2, 1.5, True, Rng(1)),
+    lambda: fiurasek_detector(True),
+], ids=[
+    "maximally_mixed", "haar_unitaries-dim", "haar_unitaries-count", "haar_unitary",
+    "dicke_state-qubits", "dicke_state-excited", "symmetric_projector",
+    "Detector-bool", "build_net-bool", "fiurasek_detector-bool",
+])
+def test_sizes_and_counts_must_be_integers(call):
+    # A float size fails inside numpy or is silently taken as an integer, and
+    # True reads as 1: each is refused up front.
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
 
 
 def test_rng_takes_numpy_unsigned_seeds():

@@ -876,6 +876,27 @@ def test_pruned_enumeration_of_tiny_differences_matches_exhaustive(scale):
     assert got[0] == want[0] and np.array_equal(winner, first)
 
 
+def test_pruned_enumeration_memory_when_every_sum_survives(monkeypatch):
+    # Scaled by 1e-300, every bound falls under the slack's absolute term, so
+    # all 2^13 sums of an n = 8, k = 14 pair pass every screen and are
+    # eigensolved. They are formed a block at a time: the whole chunk's sums
+    # would take 8 MiB.
+    g = np.random.default_rng([1965, 8, 14])
+    p, q = bench_povm(g, 14, 8), bench_povm(g, 14, 8)
+    deltas = (p.effects - q.effects)[None] * 1e-300
+    want, first = exhaustive_extremes(deltas)
+    solved = count_eigensolves(monkeypatch)
+    tracemalloc.start()
+    try:
+        got, winner = _signed_extremes(deltas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got[0] == want[0] and np.array_equal(winner, first)
+    assert sum(solved) >= 2**13
+    assert peak <= 2 * 2**20
+
+
 @pytest.mark.parametrize("n, k", [(2, 14), (3, 12), (5, 12)])
 def test_pruned_enumeration_within_rounding_of_exhaustive(n, k):
     # Off n = 4 the pruned and the full enumeration form the winning sum in

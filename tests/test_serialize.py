@@ -140,6 +140,7 @@ READERS = {
     ("matrix", "cols", 2.0),
     ("matrix", "rows", "2"),
     ("POVM", "dim", 2.9),
+    ("POVM", "dim", True),
     ("detector", "sys_dim", 1.5),
     ("detector", "anc_dim", 1.0),
     ("net", "dim", 2.5),
