@@ -36,8 +36,8 @@ class Rng:
         self.generator = np.random.default_rng(self.seed)
 
     def child(self, index):
-        """Deterministic sub-stream, distinct per index."""
-        child_seed = np.random.SeedSequence([self.seed, int(index)])
+        """Deterministic sub-stream, distinct per integer index."""
+        child_seed = np.random.SeedSequence([self.seed, as_int(index, "index")])
         return Rng(child_seed.generate_state(1, dtype=np.uint64)[0])
 
     def __repr__(self):
@@ -84,16 +84,39 @@ def partial_trace_ancilla(m, n, d):
 def check_hermitian(m):
     """Validate hermiticity within HERM_TOL (max-entry) and return (m+m†)/2.
 
-    Symmetrizing keeps downstream eigensolves and positivity checks stable
-    when the input carries roundoff from matrix products.
+    The one-matrix case of :func:`check_hermitians`. Symmetrizing keeps
+    downstream eigensolves and positivity checks stable when the input carries
+    roundoff from matrix products.
     """
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1] or a.size == 0:
+    return check_hermitians(as_matrix(m)[None])[0]
+
+
+def check_hermitians(ms, out=None):
+    """Validate a (k, n, n) stack's hermiticity and return (m+m†)/2 of each matrix.
+
+    Each matrix is judged as :func:`check_hermitian` judges it, finiteness
+    first, and the first one that fails raises with its own max-entry
+    deviation. The result is written to `out` when given, a complex (k, n, n)
+    array; the only temporaries are m − m† and its absolute values, so none is
+    larger than the stack.
+    """
+    a = np.asarray(ms, dtype=complex)
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] == 0:
         raise ValueError("hermitian check requires a nonempty square matrix")
-    dev = np.abs(a - a.conj().T).max()
-    if dev > HERM_TOL:
-        raise ValueError(f"matrix is not hermitian: max deviation {dev:.3e} > {HERM_TOL:.0e}")
-    return (a + a.conj().T) / 2
+    h = np.conjugate(a.transpose(0, 2, 1), out=out)
+    # A NaN or Inf entry makes its matrix's deviation NaN or Inf (Inf − Inf
+    # quietly), so one comparison clears finiteness and hermiticity together.
+    with np.errstate(invalid="ignore"):
+        dev = np.abs(a - h).max(axis=(1, 2))
+    bad = ~(dev <= HERM_TOL)
+    if bad.any():
+        i = bad.argmax()
+        if not np.isfinite(a[i]).all():
+            raise ValueError("matrix entries must be finite")
+        raise ValueError(f"matrix is not hermitian: max deviation {dev[i]:.3e} > {HERM_TOL:.0e}")
+    h += a
+    h /= 2
+    return h
 
 
 def herm_eigs(m):

@@ -9,7 +9,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import CapacityError, as_int, as_matrix, check_hermitian, op_norm
+from .linalg import (
+    CapacityError,
+    as_int,
+    as_matrix,
+    check_hermitian,
+    check_hermitians,
+    op_norm,
+)
 
 PSD_TOL = 1e-9
 SUM_TOL = 1e-9
@@ -22,6 +29,9 @@ SIGN_ENUM_CAP = 20
 # max(1, SIGN_BLOCK_ENTRIES // n²) (512 at n = 4), bounding its sums in chunks
 # of as many floats and eigensolving only those that reach the floor and best.
 SIGN_BLOCK_ENTRIES = 8192
+# Matrix entries per group of effects that Povm checks and symmetrizes at once;
+# an effect larger than that is a group of its own.
+_HERM_GROUP_ENTRIES = 1 << 16
 
 
 def _residual_norm(residual, tol):
@@ -68,27 +78,44 @@ class Povm:
     """Positive operator-valued measure on a finite dimension.
 
     `effects` is a complex (k, n, n) array, effect i at `effects[i]`.
-    `Povm(effects)` validates outside input: each effect is checked Hermitian
-    (1e-10 max-entry) and symmetrized into the stack, which is then checked
-    for completeness (sum to I within 1e-9 in operator norm) and positivity
+    `Povm(effects)` validates outside input: the effects are checked Hermitian
+    (1e-10 max-entry) and symmetrized into the stack a group at a time
+    (:func:`check_hermitians`), with no temporary beyond one group, and the
+    first bad effect raises its own error. The stack is then checked for
+    completeness (sum to I within 1e-9 in operator norm) and positivity
     (min eigenvalue >= -1e-9). `_set(stack)` stores, uncopied and after the
     completeness check alone, a stack the package built from a checked factor
     (an isometry detector's joint, the controlled-unitary joint and its branch).
     """
 
     def __init__(self, effects):
-        effects = list(effects)
-        if not effects:
+        # A (k, n, n) array is sliced a group at a time; anything else is
+        # taken as a sequence of effects.
+        if not (isinstance(effects, np.ndarray) and effects.ndim == 3):
+            effects = list(effects)
+        if not len(effects):
             raise ValueError("a POVM needs at least one effect")
         dim = as_matrix(effects[0]).shape[0]
-        # Each effect is hermitized straight into the preallocated stack, so
-        # no second stack-sized copy is ever held.
         stack = np.empty((len(effects), dim, dim), dtype=complex)
-        for k, e in enumerate(effects):
-            e = check_hermitian(e)
-            if e.shape != (dim, dim):
-                raise ValueError("all effects must share one dimension")
-            stack[k] = e
+        step = max(1, _HERM_GROUP_ENTRIES // max(1, dim * dim))
+        for lo in range(0, len(stack), step):
+            group = effects[lo : lo + step]
+            try:
+                # One effect is viewed, not copied into a stack of one.
+                a = (np.asarray(group[0], dtype=complex)[None] if len(group) == 1
+                     else np.asarray(group, dtype=complex))
+            except (TypeError, ValueError, OverflowError):
+                a = None
+            if a is not None and a.shape[1:] == (dim, dim):
+                check_hermitians(a, out=stack[lo : lo + step])
+                continue
+            # A group that does not stack into (dim, dim) effects is checked
+            # one effect at a time, so its first bad effect raises.
+            for k, e in enumerate(group, lo):
+                e = check_hermitian(e)
+                if e.shape != (dim, dim):
+                    raise ValueError("all effects must share one dimension")
+                stack[k] = e
         self._set(stack)
         low = np.linalg.eigvalsh(stack)[:, 0].min()
         if low < -PSD_TOL:
@@ -374,8 +401,10 @@ def _signed_extremes(deltas):
     # Branch and bound, on the one stack of this call.
     flat, tau = flat[0], np.trace(deltas[0], axis1=1, axis2=2).real
     tail = _signs(np.arange(rows), low + 1)[:, 1:]
+    # Every chunk's cross term reads the tail transposed: copy it once, contiguous.
+    tail_t = np.ascontiguousarray(tail.T)
     gram = flat @ flat.T
-    t_tail = tau[h:] @ tail.T
+    t_tail = tau[h:] @ tail_t
     f_tail = ((tail @ gram[h:, h:]) * tail).sum(axis=-1)
     blocks = 1 << (h - 1)
     per = max(1, SIGN_BLOCK_ENTRIES // rows)
@@ -392,7 +421,7 @@ def _signed_extremes(deltas):
         f = (
             ((head @ gram[:h, :h]) * head).sum(axis=-1)[:, None]
             + f_tail
-            + 2 * (head @ gram[:h, h:]) @ tail.T
+            + 2 * (head @ gram[:h, h:]) @ tail_t
         ).ravel()
         least = max(floor, best)
         cut = least - slack

@@ -201,10 +201,13 @@ def test_rng_refuses_seeds_that_are_not_integers(seed):
     lambda: Detector(True, 1, observable_from_unitary(np.eye(1))),
     lambda: build_net(2, 1.5, True, Rng(1)),
     lambda: fiurasek_detector(True),
+    lambda: Rng(1).child(2.7),
+    lambda: Rng(1).child(True),
 ], ids=[
     "maximally_mixed", "haar_unitaries-dim", "haar_unitaries-count", "haar_unitary",
     "dicke_state-qubits", "dicke_state-excited", "symmetric_projector",
     "Detector-bool", "build_net-bool", "fiurasek_detector-bool",
+    "Rng.child-float", "Rng.child-bool",
 ])
 def test_sizes_and_counts_must_be_integers(call):
     # A float size fails inside numpy or is silently taken as an integer, and

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from povmforge import povm
 from povmforge.detector import (
     Detector,
     IsometryDetector,
@@ -13,7 +14,17 @@ from povmforge.detector import (
     estimate_accuracy,
     program,
 )
-from povmforge.linalg import CapacityError, Rng, fro_norm, haar_unitaries, haar_unitary
+from povmforge.linalg import (
+    HERM_TOL,
+    CapacityError,
+    Rng,
+    as_matrix,
+    check_hermitian,
+    check_hermitians,
+    fro_norm,
+    haar_unitaries,
+    haar_unitary,
+)
 from povmforge.povm import (
     SIGN_BLOCK_ENTRIES,
     SUM_TOL,
@@ -106,6 +117,148 @@ def test_povm_rejects_ragged_and_nonsquare_effects():
         Povm([np.ones((2, 3))])
     with pytest.raises(ValueError):
         Povm([np.eye(2)[0]])
+
+
+def loop_check_hermitian(m):
+    # The one-matrix check that Povm ran per effect before its grouped checks.
+    a = as_matrix(m)
+    if a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError("hermitian check requires a nonempty square matrix")
+    dev = np.abs(a - a.conj().T).max()
+    if dev > HERM_TOL:
+        raise ValueError(f"matrix is not hermitian: max deviation {dev:.3e} > {HERM_TOL:.0e}")
+    return (a + a.conj().T) / 2
+
+
+def loop_effect_stack(effects):
+    # Oracle: Povm's per-effect validation loop, each effect checked alone in
+    # order and symmetrized into the preallocated stack.
+    effects = list(effects)
+    if not effects:
+        raise ValueError("a POVM needs at least one effect")
+    dim = as_matrix(effects[0]).shape[0]
+    stack = np.empty((len(effects), dim, dim), dtype=complex)
+    for k, e in enumerate(effects):
+        e = loop_check_hermitian(e)
+        if e.shape != (dim, dim):
+            raise ValueError("all effects must share one dimension")
+        stack[k] = e
+    return stack
+
+
+def raised(call, *args):
+    """The type and message of the exception `call(*args)` raises."""
+    with pytest.raises(Exception) as info:
+        call(*args)
+    return type(info.value), str(info.value)
+
+
+def noisy_povm_effects(k, n, seed):
+    # A random POVM (G_i G_i†, normalized by the inverse square root of their
+    # sum) whose effects carry 1e-12 of non-Hermitian noise.
+    g = np.random.default_rng([seed, k, n])
+    z = g.standard_normal((k, n, n)) + 1j * g.standard_normal((k, n, n))
+    parts = z @ z.conj().transpose(0, 2, 1)
+    w, v = np.linalg.eigh(parts.sum(axis=0))
+    isq = (v / np.sqrt(w)) @ v.conj().T
+    return isq @ parts @ isq + 1e-12 * (g.standard_normal((k, n, n)) + 1j * g.standard_normal((k, n, n)))
+
+
+# None keeps the default group; 1 checks one effect a group, 50 a few.
+@pytest.mark.parametrize("entries", [None, 1, 50])
+@pytest.mark.parametrize("k, n", [(2, 2), (16, 4), (3, 8), (40, 16), (2, 100), (300, 16), (3, 300)])
+def test_grouped_validation_matches_the_per_effect_loop(k, n, entries, monkeypatch):
+    if entries is not None:
+        monkeypatch.setattr(povm, "_HERM_GROUP_ENTRIES", entries)
+    effects = noisy_povm_effects(k, n, 3101)
+    want = loop_effect_stack(effects)
+    assert not np.array_equal(want, effects)
+    for given in (effects, list(effects)):
+        got = Povm(given).effects
+        assert got.dtype == complex and np.array_equal(got, want)
+
+
+GOOD = np.diag([0.5, 0.0])
+NON_HERMITIAN = np.array([[0.0, 1.0], [0.0, 0.0]])
+NAN = np.array([[np.nan, 0.0], [0.0, 1.0]])
+BAD_EFFECTS = {
+    "non-hermitian-then-nan": [GOOD, NON_HERMITIAN, NAN, GOOD],
+    "nan-then-non-hermitian": [GOOD, NAN, NON_HERMITIAN, GOOD],
+    "non-hermitian-first-then-nan": [NON_HERMITIAN, NAN],
+    "inf": [GOOD, np.diag([np.inf, 0.0])],
+    "ragged-third": [GOOD, GOOD, [[1.0, 0.0], [0.0]]],
+    "non-hermitian-then-ragged": [GOOD, NON_HERMITIAN, [[1.0, 0.0], [0.0]]],
+    "ragged-then-non-hermitian": [GOOD, [[1.0, 0.0], [0.0]], NON_HERMITIAN],
+    "other-dimension-third": [GOOD, GOOD, np.eye(3)],
+    "non-square": [GOOD, np.ones((2, 3))],
+    "non-square-first": [np.ones((2, 3)), GOOD],
+    "one-dimensional": [GOOD, np.array([1.0, 0.0])],
+    "empty": [GOOD, np.zeros((0, 0))],
+    "empty-first": [np.zeros((0, 0)), GOOD],
+    "non-numeric": [GOOD, [["a", "b"], ["c", "d"]]],
+    "no-effects": [],
+}
+
+
+@pytest.mark.parametrize("entries", [None, 1, 4])
+@pytest.mark.parametrize("name", BAD_EFFECTS)
+def test_grouped_validation_raises_the_per_effect_loops_error(name, entries, monkeypatch):
+    # The first bad effect in order raises, with its first failing check in
+    # the order ndim, finite, nonempty square, hermiticity, then shape.
+    if entries is not None:
+        monkeypatch.setattr(povm, "_HERM_GROUP_ENTRIES", entries)
+    effects = BAD_EFFECTS[name]
+    want = raised(loop_effect_stack, effects)
+    assert raised(Povm, effects) == want
+    try:
+        stacked = np.array(effects, dtype=complex)
+    except ValueError:
+        return
+    assert raised(Povm, stacked) == want
+
+
+def test_grouped_validation_raises_in_a_later_group(monkeypatch):
+    # Groups of two effects: the non-Hermitian fifth effect is in the third group.
+    monkeypatch.setattr(povm, "_HERM_GROUP_ENTRIES", 8)
+    effects = np.stack([GOOD] * 4 + [NON_HERMITIAN * 1e-9, NAN])
+    want = raised(loop_effect_stack, effects)
+    assert want[1].startswith("matrix is not hermitian: max deviation 1.000e-09")
+    assert raised(Povm, effects) == want == raised(Povm, list(effects))
+
+
+def test_check_hermitians_judges_each_matrix_as_check_hermitian_does():
+    stack = noisy_povm_effects(5, 3, 3102)
+    got = check_hermitians(stack)
+    assert np.array_equal(got, np.stack([check_hermitian(m) for m in stack]))
+    assert np.array_equal(got, np.stack([loop_check_hermitian(m) for m in stack]))
+    out = np.empty_like(got)
+    assert check_hermitians(stack, out=out) is out and np.array_equal(out, got)
+    for bad in ([GOOD, NON_HERMITIAN, NAN], [GOOD, NAN, NON_HERMITIAN]):
+        assert raised(check_hermitians, bad) == raised(loop_effect_stack, bad)
+    for malformed in (GOOD, np.zeros((2, 0, 0)), np.ones((1, 2, 3))):
+        with pytest.raises(ValueError, match="nonempty square"):
+            check_hermitians(malformed)
+
+
+def test_povm_validation_holds_no_temporary_beyond_one_group():
+    # At dimension 512 each effect (4 MiB) is a group of its own. The
+    # per-effect loop peaked at 16.13 MiB (the 8 MiB stack and two effects of
+    # temporaries); the grouped check holds the stack, m − m† and its absolute
+    # values, 14 MiB.
+    n = 512
+    z = np.diag(np.linspace(0.0, 1.0, n)).astype(complex)
+    effects = [z, np.eye(n) - z]
+    peaks = []
+    for call in (loop_effect_stack, Povm):
+        tracemalloc.start()
+        try:
+            call(effects)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    oracle, grouped = peaks
+    assert grouped <= oracle
+    assert grouped <= (2 + 1.5) * z.nbytes + 2**16
 
 
 def test_density_state_validation():
