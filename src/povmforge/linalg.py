@@ -30,9 +30,7 @@ class Rng:
     """
 
     def __init__(self, seed):
-        self.seed = as_int(seed, "seed")
-        if self.seed < 0 or self.seed >= 2 ** 64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        self.seed = as_seed(seed)
         self.generator = np.random.default_rng(self.seed)
 
     def child(self, index):
@@ -53,6 +51,14 @@ def as_int(value, name):
         except TypeError:
             pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def as_seed(value):
+    """`value` as a seed: an integer in [0, 2^64), as :func:`as_int` reads it."""
+    seed = as_int(value, "seed")
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError("seed must fit in 64 unsigned bits")
+    return seed
 
 
 def as_matrix(m):

@@ -1,19 +1,31 @@
 """JSON interchange for matrices, POVMs, detectors and nets.
 
 Matrices travel as {"rows", "cols", "re", "im"} with row-major entry lists.
-Readers validate shapes and lengths before handing data to the numeric
-constructors, which re-run their own invariants; sizes, counts and seeds
-must be JSON integers (not true or false), and a net's radius a JSON
-number.
+The detector and net readers only look up keys and hand the fields to
+`Detector` and `UnitaryNet`, whose constructors own every rule on them. A
+missing key or a refused field reads as malformed JSON of its kind, and
+CapacityError keeps its type.
 """
 
 import json
+from contextlib import contextmanager
 import numpy as np
 
 from .detector import Detector
-from .linalg import as_int, as_matrix
+from .linalg import CapacityError, as_int, as_matrix
 from .povm import Povm
 from .unet import UnitaryNet
+
+
+@contextmanager
+def _malformed(kind):
+    """Relabel a missing key or a refused field as malformed `kind` JSON."""
+    try:
+        yield
+    except CapacityError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed {kind} JSON: {exc}") from exc
 
 
 def matrix_to_json(m):
@@ -27,12 +39,10 @@ def matrix_to_json(m):
 
 
 def matrix_from_json(obj):
-    try:
+    with _malformed("matrix"):
         rows, cols = as_int(obj["rows"], "rows"), as_int(obj["cols"], "cols")
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed matrix JSON: {exc}") from exc
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive")
     if re.shape != (rows * cols,) or im.shape != (rows * cols,):
@@ -43,20 +53,22 @@ def matrix_from_json(obj):
     return as_matrix((re + 1j * im).reshape(rows, cols))
 
 
+def _matrices(obj, key):
+    """The matrices listed under `key` in `obj`."""
+    items = obj[key]
+    if not isinstance(items, list):
+        raise ValueError(f"{key} must be a list")
+    return [matrix_from_json(m) for m in items]
+
+
 def povm_to_json(p):
     return {"dim": p.dim, "effects": [matrix_to_json(e) for e in p.effects]}
 
 
 def povm_from_json(obj):
-    try:
+    with _malformed("POVM"):
         dim = as_int(obj["dim"], "dim")
-        effects = obj["effects"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed POVM JSON: {exc}") from exc
-    if not isinstance(effects, list):
-        raise ValueError("malformed POVM JSON: effects must be a list")
-    mats = [matrix_from_json(e) for e in effects]
-    p = Povm(mats)
+        p = Povm(_matrices(obj, "effects"))
     if p.dim != dim:
         raise ValueError(f"declared dim {dim} does not match effects ({p.dim})")
     return p
@@ -71,13 +83,8 @@ def detector_to_json(f):
 
 
 def detector_from_json(obj):
-    try:
-        sys_dim = as_int(obj["sys_dim"], "sys_dim")
-        anc_dim = as_int(obj["anc_dim"], "anc_dim")
-        joint = obj["joint"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed detector JSON: {exc}") from exc
-    return Detector(sys_dim, anc_dim, povm_from_json(joint))
+    with _malformed("detector"):
+        return Detector(obj["sys_dim"], obj["anc_dim"], povm_from_json(obj["joint"]))
 
 
 def net_to_json(net):
@@ -91,31 +98,15 @@ def net_to_json(net):
 
 
 def net_from_json(obj):
-    try:
-        dim = as_int(obj["dim"], "dim")
-        radius = obj["radius"]
-        # float() would also read the string "0.8" and true as radii.
-        if isinstance(radius, bool) or not isinstance(radius, (int, float)):
-            raise TypeError(f"radius must be a number, got {radius!r}")
-        radius = float(radius)
-        seed = as_int(obj["seed"], "seed")
-        # Files written before the count was stored read as 0, the default.
-        tested = as_int(obj.get("candidates_tested", 0), "candidates_tested")
-        centers = obj["centers"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"malformed net JSON: {exc}") from exc
-    if not isinstance(centers, list):
-        raise ValueError("malformed net JSON: centers must be a list")
-    if tested < 0:
-        raise ValueError("malformed net JSON: candidates_tested must be nonnegative")
-    if not 0 <= seed < 2 ** 64:
-        raise ValueError("malformed net JSON: seed must fit in 64 unsigned bits")
-    mats = [matrix_from_json(c) for c in centers]
-    # An empty list reads as the empty (0, dim, dim) stack UnitaryNet accepts.
-    mats = np.array(mats) if mats else np.zeros((0, dim, dim), dtype=complex)
-    return UnitaryNet(
-        dim=dim, radius=radius, centers=mats, seed=seed, candidates_tested=tested
-    )
+    with _malformed("net"):
+        return UnitaryNet(
+            dim=obj["dim"],
+            radius=obj["radius"],
+            centers=_matrices(obj, "centers"),
+            seed=obj["seed"],
+            # Files written before the count was stored read as 0, the default.
+            candidates_tested=obj.get("candidates_tested", 0),
+        )
 
 
 def save_json(obj, path):

@@ -40,7 +40,7 @@ class AngularMomentum:
     twice_j: int
 
     def __post_init__(self):
-        if not isinstance(self.twice_j, int) or self.twice_j < 0:
+        if as_int(self.twice_j, "twice_j") < 0:
             raise ValueError("twice_j must be a nonnegative integer")
 
     @property
@@ -63,7 +63,7 @@ def _twice_half_integer(value):
         twice = 2 * float(value)
     except OverflowError:  # an int past the float range
         twice = math.inf
-    if not math.isfinite(twice) or abs(twice - round(twice)) > 1e-9:
+    if isinstance(value, bool) or not math.isfinite(twice) or abs(twice - round(twice)) > 1e-9:
         raise ValueError(f"{value} is not a finite half-integer")
     return int(round(twice))
 

@@ -24,12 +24,13 @@ screen's cap, and settled in draw order.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .detector import controlled_unitary_detector
-from .linalg import CapacityError, as_int, haar_unitaries
+from .linalg import CapacityError, as_int, as_seed, haar_unitaries
 from .povm import UNITARY_TOL, check_unitaries, check_unitary
 
 # Entries in one Gram product of the screen (512 KiB in float32): a draw of
@@ -83,11 +84,25 @@ def _draw_size(n):
 
 
 def _check_dim(n):
-    """Refuse a net dimension below 1 or past NET_DIM_CAP."""
-    if as_int(n, "dimension") < 1:
+    """`n` as an int, refused below 1, and past NET_DIM_CAP with CapacityError."""
+    n = as_int(n, "dimension")
+    if n < 1:
         raise ValueError("dimension must be positive")
     if n > NET_DIM_CAP:
         raise CapacityError(f"dimension {n} exceeds the net cap ({NET_DIM_CAP})")
+    return n
+
+
+def _positive_real(value, name, most=math.inf):
+    """`value` as a finite float in (0, `most`]: no bool, string or int past the largest double."""
+    try:
+        x = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else 0.0
+    except OverflowError:
+        x = 0.0
+    if not (0 < x <= most and math.isfinite(x)):
+        bound = "finite" if most == math.inf else f"at most {most:g}"
+        raise ValueError(f"{name} must be positive and {bound}")
+    return x
 
 
 def quotient_distance(w, v):
@@ -201,9 +216,11 @@ def _grown(buf, size, need):
 class UnitaryNet:
     """Packing of unitaries at pairwise quotient distance above `radius`.
 
-    `centers` is a (k, n, n) complex array; `candidates_tested` counts the
-    Haar draws consumed during construction. A `dim` past NET_DIM_CAP is
-    refused with CapacityError, as :func:`build_net` refuses it.
+    The constructor alone checks the fields and stores each as a plain
+    Python value, so every net that constructs can be written to JSON and
+    read back. `dim`, `radius` and `seed` follow :func:`build_net` and `Rng`;
+    `candidates_tested`, the Haar draws consumed during construction, is an
+    int ≥ 0; `centers` is a (k, n, n) stack of unitaries, k = 0 if empty.
     """
 
     dim: int
@@ -213,13 +230,18 @@ class UnitaryNet:
     candidates_tested: int = 0
 
     def __post_init__(self):
-        _check_dim(self.dim)
-        self.centers = np.asarray(self.centers, dtype=complex)
-        if self.centers.ndim != 3 or self.centers.shape[1:] != (self.dim, self.dim):
+        n = self.dim = _check_dim(self.dim)
+        self.radius = _positive_real(self.radius, "radius")
+        self.seed = as_seed(self.seed)
+        self.candidates_tested = as_int(self.candidates_tested, "candidates_tested")
+        if self.candidates_tested < 0:
+            raise ValueError("candidates_tested must be nonnegative")
+        centers = np.asarray(self.centers, dtype=complex)
+        if centers.shape == (0,):
+            centers = centers.reshape(0, n, n)
+        if centers.ndim != 3 or centers.shape[1:] != (n, n):
             raise ValueError("centers must be a (k, dim, dim) array")
-        if not 0 < self.radius < math.inf:
-            raise ValueError("radius must be positive and finite")
-        check_unitaries(self.centers)
+        self.centers = check_unitaries(centers)
 
     def __len__(self):
         return self.centers.shape[0]
@@ -246,9 +268,7 @@ def build_net(n, radius, budget, rng):
     to `radius` could be settled differently. Refused with CapacityError
     past NET_DIM_CAP.
     """
-    _check_dim(n)
-    if not 0 < radius < math.inf:
-        raise ValueError("radius must be positive and finite")
+    n, radius = _check_dim(n), _positive_real(radius, "radius")
     if as_int(budget, "budget") < 1:
         raise ValueError("budget must be at least 1")
     draw = _draw_size(n)
@@ -277,13 +297,7 @@ def build_net(n, radius, budget, rng):
     if used < draw:
         rng.generator.bit_generator.state = start
         haar_unitaries(n, used, rng)
-    return UnitaryNet(
-        dim=n,
-        radius=radius,
-        centers=centres[:size].copy(),
-        seed=rng.seed,
-        candidates_tested=tested,
-    )
+    return UnitaryNet(n, radius, centres[:size].copy(), rng.seed, tested)
 
 
 def certify_coverage(net, samples, rng):
@@ -345,11 +359,8 @@ def scaling_scan(n, eps_list, budget, rng, samples=1000):
     against log(1/ε), so it needs at least two distinct ε; kappa is the
     fitted prefactor exp(intercept).
     """
-    _check_dim(n)
-    eps_list = [float(e) for e in eps_list]
-    for e in eps_list:
-        if not 0 < e <= 2:
-            raise ValueError(f"epsilon {e} outside (0, 2]")
+    n = _check_dim(n)
+    eps_list = [_positive_real(e, "epsilon", 2) for e in eps_list]
     if len(set(eps_list)) < 2:
         raise ValueError("the exponent fit needs at least two distinct epsilons")
     if as_int(samples, "samples") < 1:
@@ -357,18 +368,9 @@ def scaling_scan(n, eps_list, budget, rng, samples=1000):
     rows = []
     scale = math.sqrt(2 * n)
     for i, eps in enumerate(eps_list):
-        build_rng = rng.child(2 * i)
-        net = build_net(n, eps / scale, budget, build_rng)
+        net = build_net(n, eps / scale, budget, rng.child(2 * i))
         rate = certify_coverage(net, samples, rng.child(2 * i + 1))
-        rows.append(
-            NetScanRow(
-                epsilon=eps,
-                radius=eps / scale,
-                net_size=len(net),
-                coverage_rate=rate,
-                seed=build_rng.seed,
-            )
-        )
+        rows.append(NetScanRow(eps, net.radius, len(net), rate, net.seed))
     x = np.log([1.0 / r.epsilon for r in rows])
     y = np.log([r.net_size for r in rows])
     slope, intercept = np.polyfit(x, y, 1)

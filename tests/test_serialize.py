@@ -99,6 +99,37 @@ def test_empty_net_round_trip():
         assert back.centers.shape == (0, dim, dim) and len(back) == 0
 
 
+def saved_and_read(net, tmp_path):
+    path = tmp_path / "net.json"
+    save_json(net_to_json(net), path)
+    return net_from_json(load_json(path))
+
+
+@pytest.mark.parametrize("make", [
+    # numpy integer sizes: save_json could not write the net's dim and count.
+    lambda: build_net(np.int64(2), 0.5, np.int64(40), Rng(8)),
+    lambda: build_net(3, 1.2, 30, Rng(9)),
+    # A JSON integer radius reads as a float.
+    lambda: net_from_json({"dim": 2, "radius": 1, "seed": 5, "centers": [matrix_to_json(np.eye(2))]}),
+    lambda: UnitaryNet(dim=np.int64(3), radius=0.5, centers=[], seed=np.uint64(2)),
+], ids=["numpy-sizes", "qutrit", "integer-radius", "empty"])
+def test_every_net_that_constructs_survives_a_file_round_trip(make, tmp_path):
+    net = make()
+    back = saved_and_read(net, tmp_path)
+    for field in ("dim", "radius", "seed", "candidates_tested"):
+        got, want = getattr(back, field), getattr(net, field)
+        assert type(got) is type(want) and got == want, field
+    assert back.centers.shape == net.centers.shape
+    assert back.centers.tobytes() == net.centers.tobytes()
+
+
+def test_net_centers_of_two_sizes_are_malformed():
+    obj = net_to_json(build_net(2, 0.8, 20, Rng(4)))
+    centers = obj["centers"][:1] + [matrix_to_json(np.eye(3))]
+    with pytest.raises(ValueError, match="malformed net JSON"):
+        net_from_json({**obj, "centers": centers})
+
+
 def test_net_past_the_dimension_cap_is_refused():
     n = NET_DIM_CAP + 1
     obj = {"dim": n, "radius": 0.5, "seed": 1, "centers": []}
@@ -115,10 +146,15 @@ def test_net_rejects_malformed():
             net_from_json({**obj, "radius": radius})
 
 
-@pytest.mark.parametrize("radius", ["0.8", True, 10 ** 400], ids=["string", "bool", "1e400"])
+@pytest.mark.parametrize(
+    "radius",
+    ["0.8", True, 10 ** 400, float("nan"), -1.0],
+    ids=["string", "bool", "1e400", "nan", "negative"],
+)
 def test_net_radius_must_be_a_json_number(radius):
     # A string or a boolean is no radius, and an integer past the largest
-    # double is no finite one.
+    # double is no finite one. A NaN or negative radius is refused by
+    # UnitaryNet, and the reader relabels its error too.
     obj = net_to_json(build_net(2, 0.8, 20, Rng(4)))
     with pytest.raises(ValueError, match="malformed net JSON"):
         net_from_json({**obj, "radius": radius})
@@ -148,6 +184,10 @@ READERS = {
     ("net", "seed", 1.0),
     ("net", "seed", -1),
     ("net", "seed", 2 ** 64),
+    # Refused by the constructors, or by numpy, past the reader's own checks.
+    pytest.param("matrix", "re", [10 ** 400, 0.0, 0.0, 1.0], id="matrix-re-1e400"),
+    pytest.param("detector", "joint", 5, id="detector-joint-5"),
+    pytest.param("net", "centers", [matrix_to_json(np.ones((2, 2)))], id="net-centers-non-unitary"),
 ])
 def test_readers_refuse_non_integer_sizes_and_out_of_range_seeds(kind, field, value):
     read, valid = READERS[kind]

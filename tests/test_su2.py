@@ -97,6 +97,18 @@ def test_angular_momentum_basics():
     for bad in (math.inf, -math.inf, math.nan, 1e308):
         with pytest.raises(ValueError):
             AngularMomentum.coerce(bad)
+    # A flag is no spin: True used to read as 2j = 1 and as j = 1.
+    g = GroupElement.identity()
+    for call in (
+        lambda: AngularMomentum(True),
+        lambda: AngularMomentum.coerce(True),
+        lambda: covariant_qubit_detector(True),
+        lambda: irrep_matrix(True, g),
+        lambda: rotated_highest_weight(True, g),
+        lambda: clebsch_gordan(True, 0, 0, 0, True, 0),
+    ):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_group_element_identity():

@@ -265,11 +265,15 @@ def test_certify_coverage_refuses_non_integer_samples(samples):
     assert rng.generator.bit_generator.state == before
 
 
-@pytest.mark.parametrize("radius", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("radius", [
+    float("nan"), float("inf"), float("-inf"),
+    # An OverflowError and a TypeError from the Gram bounds, before.
+    pytest.param(10 ** 400, id="1e400"), pytest.param("0.5", id="string"),
+])
 def test_build_net_rejects_nonfinite_radius_before_drawing(radius):
     rng = Rng(1)
     before = rng.generator.bit_generator.state
-    with pytest.raises(ValueError, match="radius"):
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
         build_net(2, radius, 5, rng)
     assert rng.generator.bit_generator.state == before
 
@@ -305,6 +309,38 @@ def test_unitary_net_rejects_nonfinite_radius(radius):
 def test_unitary_net_rejects_nonpositive_radius(radius):
     with pytest.raises(ValueError, match="radius must be positive and finite"):
         UnitaryNet(dim=2, radius=radius, centers=np.eye(2)[None], seed=0)
+
+
+@pytest.mark.parametrize("field,value,match", [
+    ("seed", True, "seed must be an integer"),
+    ("seed", 2.5, "seed must be an integer"),
+    ("seed", -1, "64 unsigned bits"),
+    ("seed", 2 ** 64, "64 unsigned bits"),
+    ("radius", True, "radius must be positive and finite"),
+    ("radius", "0.8", "radius must be positive and finite"),
+    ("radius", 10 ** 400, "radius must be positive and finite"),
+    ("candidates_tested", -3, "candidates_tested must be nonnegative"),
+    ("candidates_tested", 1.5, "candidates_tested must be an integer"),
+], ids=[
+    "seed-bool", "seed-2.5", "seed-negative", "seed-2**64", "radius-bool", "radius-string",
+    "radius-1e400", "tested-negative", "tested-1.5",
+])
+def test_unitary_net_refuses_what_json_could_not_hold(field, value, match):
+    # Each of these constructed before, and then failed to be written or read.
+    fields = dict(dim=2, radius=0.5, centers=np.eye(2)[None], seed=0)
+    with pytest.raises(ValueError, match=match):
+        UnitaryNet(**{**fields, field: value})
+
+
+def test_unitary_net_stores_plain_python_values():
+    net = UnitaryNet(
+        dim=np.int64(2), radius=np.float32(0.5), centers=[], seed=np.uint64(7),
+        candidates_tested=np.int32(3),
+    )
+    assert [type(v) for v in (net.dim, net.radius, net.seed, net.candidates_tested)] == [
+        int, float, int, int
+    ]
+    assert net.centers.shape == (0, 2, 2) and net.centers.dtype == complex
 
 
 def test_certify_single_center():
@@ -431,6 +467,17 @@ def test_scaling_scan_refuses_no_samples_before_building(monkeypatch, samples):
         match = "samples must be an integer"
     with pytest.raises(ValueError, match=match):
         scaling_scan(2, [0.5, 0.4], 100, Rng(1), samples=samples)
+
+
+@pytest.mark.parametrize("eps", [True, "1.0", 10 ** 400, 2.5], ids=["bool", "string", "1e400", "2.5"])
+def test_scaling_scan_refuses_non_real_epsilons_before_building(monkeypatch, eps):
+    # float() read True as 1.0 and "1.0" as 1.0, so both used to build nets.
+    def reached(*args):
+        raise AssertionError("build_net ran before the epsilons were checked")
+
+    monkeypatch.setattr(unet, "build_net", reached)
+    with pytest.raises(ValueError, match="epsilon must be positive and at most 2"):
+        scaling_scan(2, [eps, 0.5], 100, Rng(1))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
