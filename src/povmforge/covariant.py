@@ -16,13 +16,16 @@ import numpy as np
 
 from .detector import _contract
 from .linalg import as_matrix
+from .povm import DensityState
 from .su2 import GroupElement
 
 
 class CovariantSeed:
-    """Seed operator ν of a covariant density family, with its dimension."""
+    """Seed state ν, a DensityState, of a covariant density family, with its dimension."""
 
     def __init__(self, nu):
+        if not isinstance(nu, DensityState):
+            raise ValueError(f"seed must be a DensityState, got {type(nu).__name__}")
         self.nu = nu
         self.dim = nu.dim
 

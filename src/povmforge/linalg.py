@@ -9,6 +9,7 @@ controlled-unitary detector's branch unitaries by σ's diagonal, and the
 tests compare each path against these two.
 """
 
+import numbers
 import operator
 
 import numpy as np
@@ -59,6 +60,21 @@ def as_seed(value):
     if not 0 <= seed < 2 ** 64:
         raise ValueError("seed must fit in 64 unsigned bits")
     return seed
+
+
+def as_real(value):
+    """`value` as a float if it is a Python or numpy real, else NaN.
+
+    A real is a `numbers.Real` other than a bool. A bool (np.True_ too), a
+    string, None, a complex or an int past the largest double reads as NaN,
+    which each caller's finiteness check then refuses.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    return np.nan
 
 
 def as_matrix(m):

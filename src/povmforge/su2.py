@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .detector import IsometryDetector, _dense_isometry
-from .linalg import CapacityError, as_int
+from .linalg import CapacityError, as_int, as_real
 from .povm import _unit_vector, check_unitary, observable_from_unitary, pure_state
 
 # The caps guard only the dense joints, built when `joint` is read, and the
@@ -53,34 +53,32 @@ class AngularMomentum:
 
     @staticmethod
     def coerce(value):
+        """An AngularMomentum as is, else a half-integer real as `linalg.as_real` reads it."""
         if isinstance(value, AngularMomentum):
             return value
         return AngularMomentum(_twice_half_integer(value))
 
 
 def _twice_half_integer(value):
-    try:
-        twice = 2 * float(value)
-    except OverflowError:  # an int past the float range
-        twice = math.inf
-    if isinstance(value, bool) or not math.isfinite(twice) or abs(twice - round(twice)) > 1e-9:
-        raise ValueError(f"{value} is not a finite half-integer")
+    twice = 2 * as_real(value)
+    if not math.isfinite(twice) or abs(twice - round(twice)) > 1e-9:
+        raise ValueError(f"{value!r} is not a finite half-integer")
     return int(round(twice))
 
 
 class GroupElement:
     """SU(2) element carrying both Euler angles and its 2x2 matrix.
 
-    The two representations are kept consistent: building from angles
-    computes the matrix, building from a matrix recovers angles that
-    reproduce it exactly (including the overall sign, so half-integer
-    representations evaluate without ambiguity).
+    Building from angles (finite reals as `linalg.as_real` reads them)
+    computes the matrix; building from the matrix recovers angles that
+    reproduce it exactly, including the overall sign, so half-integer
+    representations evaluate without ambiguity.
     """
 
     def __init__(self, alpha, beta, gamma):
-        self.euler_angles = (float(alpha), float(beta), float(gamma))
+        self.euler_angles = tuple(map(as_real, (alpha, beta, gamma)))
         if not all(map(math.isfinite, self.euler_angles)):
-            raise ValueError("Euler angles must be finite")
+            raise ValueError(f"Euler angles must be finite reals, got {(alpha, beta, gamma)!r}")
         self.matrix = _irrep_from_euler(1, *self.euler_angles)
 
     @classmethod

@@ -24,13 +24,12 @@ screen's cap, and settled in draw order.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .detector import controlled_unitary_detector
-from .linalg import CapacityError, as_int, as_seed, haar_unitaries
+from .linalg import CapacityError, as_int, as_real, as_seed, haar_unitaries
 from .povm import UNITARY_TOL, check_unitaries, check_unitary
 
 # Entries in one Gram product of the screen (512 KiB in float32): a draw of
@@ -94,11 +93,8 @@ def _check_dim(n):
 
 
 def _positive_real(value, name, most=math.inf):
-    """`value` as a finite float in (0, `most`]: no bool, string or int past the largest double."""
-    try:
-        x = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else 0.0
-    except OverflowError:
-        x = 0.0
+    """`value` as a finite float in (0, `most`], read by `linalg.as_real`."""
+    x = as_real(value)
     if not (0 < x <= most and math.isfinite(x)):
         bound = "finite" if most == math.inf else f"at most {most:g}"
         raise ValueError(f"{name} must be positive and {bound}")

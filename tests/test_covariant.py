@@ -149,6 +149,13 @@ def test_bell_check_matches_dense_program_map(use_transpose):
         assert abs(got - dense_bell_residual(seed, v, use_transpose)) <= 1e-12
 
 
+@pytest.mark.parametrize("nu", [np.eye(2) / 2, maximally_mixed(2).matrix, None])
+def test_seed_must_be_a_density_state(nu):
+    # A bare matrix used to fail later, with an AttributeError from nu.dim.
+    with pytest.raises(ValueError, match="seed must be a DensityState"):
+        CovariantSeed(nu)
+
+
 def test_rep_dimension_mismatch():
     seed = CovariantSeed(maximally_mixed(3))
     with pytest.raises(ValueError):

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from povmforge.detector import Detector
 from povmforge.linalg import (
     Rng,
+    as_real,
     fro_norm,
     haar_unitaries,
     haar_unitary,
@@ -219,3 +223,20 @@ def test_sizes_and_counts_must_be_integers(call):
 def test_rng_takes_numpy_unsigned_seeds():
     # Rng.child passes its derived seed as an np.uint64.
     assert Rng(np.uint64(2 ** 64 - 1)).seed == 2 ** 64 - 1
+
+
+@pytest.mark.parametrize(("value", "want"), [
+    (1, 1.0), (-2.5, -2.5), (math.inf, math.inf), (np.float32(0.25), 0.25),
+    (np.int64(-3), -3.0), (np.uint8(7), 7.0), (Fraction(3, 2), 1.5),
+])
+def test_as_real_reads_python_and_numpy_reals_as_floats(value, want):
+    got = as_real(value)
+    assert got == want and type(got) is float
+
+
+@pytest.mark.parametrize("value", [
+    True, np.True_, "1.5", None, 1 + 0j, np.complex128(1), 10**400, -(10**400),
+    Fraction(10**400), np.array(1.5), [1.0],
+])
+def test_as_real_reads_everything_else_as_nan(value):
+    assert math.isnan(as_real(value))

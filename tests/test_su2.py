@@ -1,6 +1,8 @@
 import math
+import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -11,7 +13,7 @@ from sympy import Rational
 from sympy.physics.quantum.cg import CG as SympyCG
 
 from povmforge.detector import estimate_accuracy, program
-from povmforge.linalg import CapacityError, Rng, haar_unitary, op_norm, tensor
+from povmforge.linalg import CapacityError, Rng, as_real, haar_unitary, op_norm, tensor
 from povmforge.povm import Povm, observable_from_unitary, povm_distance
 from povmforge.su2 import (
     COVARIANT_TWICE_J_CAP,
@@ -79,9 +81,54 @@ def test_huge_int_spin_is_refused_not_overflowed():
                  lambda: matched_covariant_rule(10**400),
                  lambda: rotated_highest_weight(10**400, GroupElement.identity()),
                  lambda: clebsch_gordan(10**400, 0, 0, 0, 10**400, 0),
-                 lambda: AngularMomentum.coerce(-(10**400))):
+                 lambda: AngularMomentum.coerce(-(10**400)),
+                 lambda: irrep_matrix(10**400, GroupElement.identity()),
+                 lambda: coupling_isometry(0.5, 10**400),
+                 lambda: clebsch_gordan(0.5, 10**400, 0.5, -0.5, 1, 0)):
         with pytest.raises(ValueError, match="not a finite half-integer"):
             call()
+
+
+def spin_takers(bad):
+    # Each of the seven spin-taking functions, given `bad` as a spin or a magnetic number.
+    g = GroupElement.identity()
+    return (
+        lambda: AngularMomentum.coerce(bad),
+        lambda: covariant_qubit_detector(bad),
+        lambda: matched_covariant_rule(bad),
+        lambda: rotated_highest_weight(bad, g),
+        lambda: irrep_matrix(bad, g),
+        lambda: clebsch_gordan(bad, 0.5, 0.5, -0.5, 1, 0),
+        lambda: clebsch_gordan(0.5, bad, 0.5, -0.5, 1, 0),
+        lambda: clebsch_gordan(0.5, 0.5, 0.5, -0.5, 1, bad),
+        lambda: coupling_isometry(bad, 0.5),
+        lambda: coupling_isometry(0.5, bad),
+    )
+
+
+@pytest.mark.parametrize("bad", ["1.5", "1", None, 1 + 0j, np.True_])
+def test_spin_that_is_not_a_real_is_refused(bad):
+    # float() read "1.5" as spin 3/2 and np.True_ as 1, and leaked a TypeError on None.
+    for call in spin_takers(bad):
+        with pytest.raises(ValueError, match=re.escape(f"{bad!r} is not a finite half-integer")):
+            call()
+
+
+@pytest.mark.parametrize(("convert", "spin", "angles"), [
+    (np.float64, 1.5, (0.3, 1.1, -0.8)),
+    (np.float32, 1.5, (0.25, 1.5, -0.75)),
+    (np.int64, 3, (1, -2, 3)),
+    (Fraction, 1.5, (0.3, 1.1, -0.8)),
+])
+def test_numpy_and_fraction_reals_read_as_the_equal_float(convert, spin, angles):
+    assert [as_real(convert(x)) for x in (spin, *angles)] == [spin, *angles]
+    assert AngularMomentum.coerce(convert(spin)) == AngularMomentum.coerce(float(spin))
+    g = GroupElement(*map(convert, angles))
+    want = GroupElement(*map(float, angles))
+    assert g.euler_angles == want.euler_angles
+    assert all(type(a) is float for a in g.euler_angles)
+    assert np.array_equal(g.matrix, want.matrix)
+    assert np.array_equal(irrep_matrix(convert(spin), g), irrep_matrix(float(spin), want))
 
 
 def test_angular_momentum_basics():
@@ -131,7 +178,9 @@ def test_group_element_rejects_non_special():
         GroupElement.from_matrix(np.diag([1.0, 2.0]))
 
 
-@pytest.mark.parametrize("angles", [(math.inf, 0, 0), (0, math.nan, 0), (0, 0, -math.inf)])
+@pytest.mark.parametrize("angles", [(math.inf, 0, 0), (0, math.nan, 0), (0, 0, -math.inf),
+                                    ("0.5", 0, 0), (0, True, 0), (0, 0, None), (1 + 0j, 0, 0),
+                                    (10**400, 0, 0), (0, np.True_, 0)])
 def test_group_element_refuses_nonfinite_angles(angles):
     with pytest.raises(ValueError, match="Euler angles must be finite"):
         GroupElement(*angles)
