@@ -77,7 +77,7 @@ class IsometryDetector(Detector):
         cols, weights = np.asarray(cols), np.asarray(weights)
         if cols.shape != weights.shape or cols.dtype.kind not in "iu":
             raise ValueError("cols must be an integer array shaped like weights")
-        if np.iscomplexobj(weights) or not np.isfinite(weights).all():
+        if weights.dtype.kind not in "biuf" or not np.isfinite(weights).all():
             raise ValueError("weights must be real and finite: a complex VVᵀ is not Hermitian")
         self._set_shape(sys_dim, anc_dim, cols.size, 2)
         gram = np.bincount(cols.ravel(), weights.ravel() ** 2)
@@ -135,7 +135,7 @@ class ControlledUnitaryDetector(Detector):
         ws = list(ws)
         if not ws or len({np.shape(w) for w in ws}) > 1:
             raise ValueError("need at least one unitary, and all must share one dimension")
-        self.unitaries = check_unitaries(np.array(ws))
+        self.unitaries = check_unitaries(ws)
         d, n, _ = self.unitaries.shape
         self._set_shape(n, d, n * d, n)
 

@@ -77,14 +77,33 @@ def as_real(value):
     return np.nan
 
 
-def as_matrix(m):
-    """Coerce to a 2-d complex ndarray, rejecting NaN/Inf entries."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={a.ndim}")
+def as_array(value, ndim):
+    """`value` as a complex ndarray with `ndim` (1, 2 or 3) axes and finite entries.
+
+    The one parse of array input: it reads entries that numpy stores as bool, integer,
+    float or complex. Strings (numeric ones too), None, dicts and other objects, ints
+    past 64 bits, ragged lists, another number of axes, NaN and Inf raise ValueError.
+    """
+    a = _as_complex(value, ndim)
     if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
+        raise ValueError("array entries must be finite")
     return a
+
+
+def _as_complex(value, ndim):
+    # as_array without its finiteness pass, for checks that fold it into their own.
+    a = np.asarray(value)  # a ragged list raises ValueError here
+    if a.dtype.kind not in "biufc":
+        raise ValueError(f"array entries must be numbers, got dtype {a.dtype}")
+    if a.ndim != ndim:
+        shape = {1: "a vector", 2: "a matrix", 3: "a stack of nonempty square matrices"}[ndim]
+        raise ValueError(f"expected {shape}, got ndim={a.ndim}")
+    return np.asarray(a, dtype=complex)
+
+
+def as_matrix(m):
+    """`m` as a finite complex 2-d ndarray, as :func:`as_array` reads it."""
+    return as_array(m, 2)
 
 
 def tensor(a, b):
@@ -122,8 +141,8 @@ def check_hermitians(ms, out=None):
     array; the only temporaries are m − m† and its absolute values, so none is
     larger than the stack.
     """
-    a = np.asarray(ms, dtype=complex)
-    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] == 0:
+    a = _as_complex(ms, 3)
+    if a.shape[1] != a.shape[2] or a.shape[1] == 0:
         raise ValueError("hermitian check requires a nonempty square matrix")
     h = np.conjugate(a.transpose(0, 2, 1), out=out)
     # A NaN or Inf entry makes its matrix's deviation NaN or Inf (Inf − Inf
@@ -134,7 +153,7 @@ def check_hermitians(ms, out=None):
     if bad.any():
         i = bad.argmax()
         if not np.isfinite(a[i]).all():
-            raise ValueError("matrix entries must be finite")
+            raise ValueError("array entries must be finite")
         raise ValueError(f"matrix is not hermitian: max deviation {dev[i]:.3e} > {HERM_TOL:.0e}")
     h += a
     h /= 2

@@ -11,6 +11,8 @@ import numpy as np
 
 from .linalg import (
     CapacityError,
+    _as_complex,
+    as_array,
     as_int,
     as_matrix,
     check_hermitian,
@@ -50,17 +52,15 @@ def check_unitary(u):
 
 
 def check_unitaries(us):
-    """Validate a (d, n, n) stack of unitaries and return it as a complex ndarray.
+    """Validate a (d, n, n) stack of unitaries, read by `linalg.as_array`, and return it.
 
     The Frobenius norm of the stacked residual U†U − I bounds every matrix's,
     so one norm within UNITARY_TOL clears the whole stack. Otherwise each
     matrix is judged by its own residual's ‖·‖₂ (:func:`_residual_norm`).
     """
-    a = np.asarray(us, dtype=complex)
-    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] == 0:
+    a = as_array(us, 3)
+    if a.shape[1] != a.shape[2] or a.shape[1] == 0:
         raise ValueError("unitary must be a nonempty square matrix")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
     d, n, _ = a.shape
     residual = a.conj().transpose(0, 2, 1) @ a
     residual.reshape(d, n * n)[:, :: n + 1] -= 1.0
@@ -78,13 +78,13 @@ class Povm:
     """Positive operator-valued measure on a finite dimension.
 
     `effects` is a complex (k, n, n) array, effect i at `effects[i]`.
-    `Povm(effects)` validates outside input: the effects are checked Hermitian
-    (1e-10 max-entry) and symmetrized into the stack a group at a time
-    (:func:`check_hermitians`), with no temporary beyond one group, and the
-    first bad effect raises its own error. The stack is then checked for
-    completeness (sum to I within 1e-9 in operator norm) and positivity
-    (min eigenvalue >= -1e-9). `_set(stack)` stores, uncopied and after the
-    completeness check alone, a stack the package built from a checked factor
+    `Povm(effects)` validates outside input, read by `linalg.as_array`: the
+    effects are checked Hermitian (1e-10 max-entry) and symmetrized into the stack
+    a group at a time (:func:`check_hermitians`), with no temporary beyond one
+    group, and the first bad effect raises its own error. The stack is then
+    checked for completeness (sum to I within 1e-9 in operator norm) and
+    positivity (min eigenvalue >= -1e-9). `_set(stack)` stores, uncopied and after
+    the completeness check alone, a stack the package built from a checked factor
     (an isometry detector's joint, the controlled-unitary joint and its branch).
     """
 
@@ -102,9 +102,8 @@ class Povm:
             group = effects[lo : lo + step]
             try:
                 # One effect is viewed, not copied into a stack of one.
-                a = (np.asarray(group[0], dtype=complex)[None] if len(group) == 1
-                     else np.asarray(group, dtype=complex))
-            except (TypeError, ValueError, OverflowError):
+                a = _as_complex(group[0], 2)[None] if len(group) == 1 else _as_complex(group, 3)
+            except ValueError:
                 a = None
             if a is not None and a.shape[1:] == (dim, dim):
                 check_hermitians(a, out=stack[lo : lo + step])
@@ -172,12 +171,8 @@ class DensityState:
 
 
 def _unit_vector(vector):
-    """`vector` as a complex unit vector; refuses non-1-d, non-finite or zero input."""
-    v = np.asarray(vector, dtype=complex)
-    if v.ndim != 1:
-        raise ValueError(f"expected a vector, got ndim={v.ndim}")
-    if not np.isfinite(v).all():
-        raise ValueError("vector entries must be finite")
+    """`vector` as a complex unit vector: `linalg.as_array`'s 1-d rule, nonzero."""
+    v = as_array(vector, 1)
     parts = np.ascontiguousarray(v).view(float)
     top = np.abs(parts).max(initial=0.0)
     if top == 0:
@@ -188,7 +183,7 @@ def _unit_vector(vector):
 
 
 def pure_state(vector):
-    """Rank-1 density matrix |v⟩⟨v| of a one-dimensional vector, normalized.
+    """Rank-1 density matrix |v⟩⟨v| of a vector read by `linalg.as_array`, normalized.
 
     The state holds the unit vector v, which the sparse-row program map of
     an `IsometryDetector` reads. Its `matrix` |v⟩⟨v| is formed on first

@@ -9,10 +9,9 @@ CapacityError keeps its type.
 
 import json
 from contextlib import contextmanager
-import numpy as np
 
 from .detector import Detector
-from .linalg import CapacityError, as_int, as_matrix
+from .linalg import CapacityError, as_array, as_int, as_matrix
 from .povm import Povm
 from .unet import UnitaryNet
 
@@ -24,7 +23,7 @@ def _malformed(kind):
         yield
     except CapacityError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed {kind} JSON: {exc}") from exc
 
 
@@ -41,8 +40,7 @@ def matrix_to_json(m):
 def matrix_from_json(obj):
     with _malformed("matrix"):
         rows, cols = as_int(obj["rows"], "rows"), as_int(obj["cols"], "cols")
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
+        re, im = as_array(obj["re"], 1), as_array(obj["im"], 1)
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive")
     if re.shape != (rows * cols,) or im.shape != (rows * cols,):
@@ -50,7 +48,7 @@ def matrix_from_json(obj):
             f"entry count mismatch: expected {rows * cols} entries, "
             f"got re shape {re.shape} and im shape {im.shape}"
         )
-    return as_matrix((re + 1j * im).reshape(rows, cols))
+    return (re + 1j * im).reshape(rows, cols)
 
 
 def _matrices(obj, key):

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .detector import IsometryDetector, _dense_isometry
-from .linalg import CapacityError, as_int, as_real
+from .linalg import CapacityError, as_array, as_int, as_real
 from .povm import _unit_vector, check_unitary, observable_from_unitary, pure_state
 
 # The caps guard only the dense joints, built when `joint` is read, and the
@@ -120,7 +120,7 @@ def compose(g, h):
 def _coherent_amplitudes(twice_j, v):
     # W|j,j> for a rotation W with first column v = (a, b): c_k ∝ sqrt(C(2j, k)) a^(2j-k) b^k
     # at m = j - k, in log space and scaled to max |c_k| = 1, so no power over- or underflows.
-    a, b = np.asarray(v, dtype=complex)
+    a, b = v
     k = np.arange(twice_j + 1)
     if a == 0 or b == 0:
         return (k == (twice_j if a == 0 else 0)).astype(complex)
@@ -316,9 +316,10 @@ def fiurasek_program(psi, n_copies):
     psi^(x)N = sum_k c_k |D_k>: `rotated_highest_weight`'s vector c in the Dicke basis.
     """
     _check_copies(n_copies, 0)
-    v = np.asarray(psi, dtype=complex).reshape(-1)
-    if v.shape != (2,) or not np.isfinite(v).all():
-        raise ValueError("program vector must be a finite qubit")
+    try:
+        v = as_array(psi, 1).reshape(2)
+    except ValueError as exc:
+        raise ValueError("program vector must be a finite qubit") from exc
     cols, weights = _dicke_factors(n_copies)
     return pure_state(_coherent_amplitudes(n_copies, _unit_vector(v))[cols] * weights)
 

@@ -216,7 +216,7 @@ class UnitaryNet:
     Python value, so every net that constructs can be written to JSON and
     read back. `dim`, `radius` and `seed` follow :func:`build_net` and `Rng`;
     `candidates_tested`, the Haar draws consumed during construction, is an
-    int ≥ 0; `centers` is a (k, n, n) stack of unitaries, k = 0 if empty.
+    int ≥ 0; `centers` is a (k, n, n) unitary stack read by `linalg.as_array`, k = 0 if empty.
     """
 
     dim: int
@@ -232,10 +232,8 @@ class UnitaryNet:
         self.candidates_tested = as_int(self.candidates_tested, "candidates_tested")
         if self.candidates_tested < 0:
             raise ValueError("candidates_tested must be nonnegative")
-        centers = np.asarray(self.centers, dtype=complex)
-        if centers.shape == (0,):
-            centers = centers.reshape(0, n, n)
-        if centers.ndim != 3 or centers.shape[1:] != (n, n):
+        centers = np.empty((0, n, n)) if np.shape(self.centers) == (0,) else self.centers
+        if np.shape(centers)[1:] != (n, n):
             raise ValueError("centers must be a (k, dim, dim) array")
         self.centers = check_unitaries(centers)
 

@@ -221,6 +221,9 @@ def test_isometry_detector_refuses_bad_factors():
         (cols, weights.astype(complex), "real and finite"),
         (cols, nan, "real and finite"),
         (cols, np.full(8, np.inf), "real and finite"),
+        (cols, [None] * 8, "real and finite"),
+        (cols, ["1"] * 8, "real and finite"),
+        (cols, [10**400] * 8, "real and finite"),
         (cols, weights[:6], "shaped like weights"),
         (cols.reshape(2, 4), weights, "shaped like weights"),
         (cols.astype(float), weights, "integer array"),

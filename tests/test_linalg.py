@@ -6,10 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from povmforge.detector import Detector
+from povmforge.covariant import CovariantSeed, covariant_density, double_ket
+from povmforge.detector import ControlledUnitaryDetector, Detector, IsometryDetector
 from povmforge.linalg import (
     Rng,
+    as_array,
+    as_matrix,
     as_real,
+    check_hermitian,
+    check_hermitians,
     fro_norm,
     haar_unitaries,
     haar_unitary,
@@ -18,9 +23,24 @@ from povmforge.linalg import (
     partial_trace_ancilla,
     tensor,
 )
-from povmforge.povm import maximally_mixed, observable_from_unitary
-from povmforge.su2 import dicke_state, fiurasek_detector, symmetric_projector
-from povmforge.unet import build_net
+from povmforge.povm import (
+    DensityState,
+    Povm,
+    check_unitaries,
+    check_unitary,
+    maximally_mixed,
+    observable_from_unitary,
+    pure_state,
+)
+from povmforge.serialize import matrix_from_json
+from povmforge.su2 import (
+    GroupElement,
+    dicke_state,
+    fiurasek_detector,
+    fiurasek_program,
+    symmetric_projector,
+)
+from povmforge.unet import UnitaryNet, build_net, quotient_distance
 
 
 def rand_herm(rng, n):
@@ -240,3 +260,60 @@ def test_as_real_reads_python_and_numpy_reals_as_floats(value, want):
 ])
 def test_as_real_reads_everything_else_as_nan(value):
     assert math.isnan(as_real(value))
+
+
+@pytest.mark.parametrize("value", [
+    [True, False], np.arange(4).reshape(2, 2), np.arange(6, dtype=np.uint8),
+    np.linspace(0, 1, 4, dtype=np.float32), np.array([1 + 2j, 3 - 4j], dtype=np.complex64),
+    (np.arange(16.0) + 1j).reshape(4, 4)[::2, 1::2], np.eye(3)[:, ::-1], 2**63, [[1.5, -0.0]],
+])
+def test_as_array_reads_numbers_bit_for_bit_as_asarray_does(value):
+    want = np.asarray(value, dtype=complex)
+    got = as_array(value, want.ndim)
+    assert got.dtype == complex and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def with_entry(e):
+    # The 2 x 2 identity with entry (0, 0) replaced; a list entry makes it ragged.
+    return [[e, 0.0], [0.0, 1.0]]
+
+
+# Each entry point, called with entry 1.0 in its array input, accepts it.
+ARRAY_ENTRY_POINTS = {
+    "as_matrix": lambda e: as_matrix(with_entry(e)),
+    "tensor": lambda e: tensor(np.eye(2), with_entry(e)),
+    "partial_trace_ancilla": lambda e: partial_trace_ancilla(with_entry(e), 2, 1),
+    "op_norm": lambda e: op_norm(with_entry(e)),
+    "fro_norm": lambda e: fro_norm(with_entry(e)),
+    "herm_eigs": lambda e: herm_eigs(with_entry(e)),
+    "check_hermitian": lambda e: check_hermitian(with_entry(e)),
+    "check_hermitians": lambda e: check_hermitians([with_entry(e)]),
+    "DensityState": lambda e: DensityState([[e, 0.0], [0.0, 0.0]]),
+    "Povm": lambda e: Povm([with_entry(e), np.zeros((2, 2))]),
+    "Povm-one-effect": lambda e: Povm([with_entry(e)]),
+    "check_unitary": lambda e: check_unitary(with_entry(e)),
+    "check_unitaries": lambda e: check_unitaries([with_entry(e)]),
+    "observable_from_unitary": lambda e: observable_from_unitary(with_entry(e)),
+    "quotient_distance": lambda e: quotient_distance(np.eye(2), with_entry(e)),
+    "GroupElement.from_matrix": lambda e: GroupElement.from_matrix(with_entry(e)),
+    "double_ket": lambda e: double_ket(with_entry(e)),
+    "covariant-rep": lambda e: covariant_density(
+        CovariantSeed(maximally_mixed(2)), GroupElement.identity(), rep=lambda g: with_entry(e)),
+    "UnitaryNet": lambda e: UnitaryNet(2, 0.5, [with_entry(e)], 1),
+    "ControlledUnitaryDetector": lambda e: ControlledUnitaryDetector([with_entry(e), np.eye(2)]),
+    "matrix_from_json": lambda e: matrix_from_json(
+        {"rows": 2, "cols": 2, "re": [e, 0.0, 0.0, 1.0], "im": [0.0] * 4}),
+    "pure_state": lambda e: pure_state([e, 0.0]),
+    "fiurasek_program": lambda e: fiurasek_program([e, 0.0], 2),
+    "IsometryDetector": lambda e: IsometryDetector(1, 2, [0, 1], [e, 1.0]),
+}
+
+
+@pytest.mark.parametrize("entry", [10**400, "1", None, {}, [0.0, 1.0]],
+                         ids=["huge-int", "numeric-string", "None", "dict", "ragged"])
+@pytest.mark.parametrize("call", ARRAY_ENTRY_POINTS.values(), ids=ARRAY_ENTRY_POINTS.keys())
+def test_array_inputs_that_are_not_arrays_of_numbers_raise_value_error(call, entry):
+    call(1.0)
+    with pytest.raises(ValueError):
+        call(entry)

@@ -240,6 +240,19 @@ def test_check_hermitians_judges_each_matrix_as_check_hermitian_does():
             check_hermitians(malformed)
 
 
+def test_check_hermitians_refuses_entries_that_are_not_numbers():
+    for bad in ([[[10**400]]], [[["1"]]], [[[None]]]):
+        with pytest.raises(ValueError, match="must be numbers"):
+            check_hermitians(bad)
+    assert raised(check_hermitians, [GOOD, NON_HERMITIAN, NAN])[1].startswith(
+        "matrix is not hermitian")
+    # A group that holds such an entry is checked one effect at a time, so
+    # the first bad effect still raises its own error.
+    huge = [[10**400, 0], [0, 0]]
+    assert raised(Povm, [GOOD, NON_HERMITIAN, huge]) == raised(loop_effect_stack, [GOOD, NON_HERMITIAN])
+    assert raised(Povm, [GOOD, huge, NON_HERMITIAN])[0] is ValueError
+
+
 def test_povm_validation_holds_no_temporary_beyond_one_group():
     # At dimension 512 each effect (4 MiB) is a group of its own. The
     # per-effect loop peaked at 16.13 MiB (the 8 MiB stack and two effects of

@@ -42,6 +42,17 @@ def test_matrix_rejects_malformed():
         matrix_from_json({"rows": 0, "cols": 1, "re": [], "im": []})
 
 
+def test_matrix_entries_that_are_not_numbers_are_malformed():
+    for re in (["0.5", 0.0, 0.0, 0.5], [10**400, 0, 0, 0], [None] * 4, [{}] * 4):
+        with pytest.raises(ValueError, match="malformed matrix JSON"):
+            matrix_from_json({"rows": 2, "cols": 2, "re": re, "im": [0.0] * 4})
+    # The complex read keeps every bit of the float one, signed zeros too.
+    re, im = [-0.0, 2.5, 1e-300, 0.0], [1.0, -0.0, 0.0, -7.0]
+    want = (np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)).reshape(2, 2)
+    got = matrix_from_json({"rows": 2, "cols": 2, "re": re, "im": im})
+    assert got.dtype == complex and got.tobytes() == want.tobytes()
+
+
 def test_povm_round_trip():
     p = observable_from_unitary(haar_unitary(3, Rng(2)))
     back = povm_from_json(povm_to_json(p))

@@ -545,7 +545,9 @@ def test_fiurasek_program_rejects_bad_inputs():
             with pytest.raises(ValueError, match="cannot normalize the zero vector"):
                 fiurasek_program([0.0, 0.0], n)
             # Refused before the normalization divides by a non-finite norm.
-            for psi in ([math.inf, 0.0], [math.nan, 1.0]):
+            # So is anything but a length-2 vector of numbers.
+            for psi in ([math.inf, 0.0], [math.nan, 1.0], [[1.0], [0.0]], [[1.0, 0.0]],
+                        ["1", "0"], [10**400, 0.0], [None, 1.0], [[1.0, 0.0], [0.0]]):
                 with pytest.raises(ValueError, match="finite qubit"):
                     fiurasek_program(psi, n)
 

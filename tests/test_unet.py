@@ -299,6 +299,18 @@ def test_unitary_net_validates_centers():
         UnitaryNet(dim=2, radius=0.5, centers=np.eye(2), seed=0)
 
 
+def test_unitary_net_reads_centres_as_a_stack_of_numbers():
+    # None or a scalar is no stack, and an empty sequence is the empty one.
+    for centers in (None, 2.0):
+        with pytest.raises(ValueError, match="centers must be"):
+            UnitaryNet(2, 0.5, centers, 1)
+    for empty in ([], (), np.zeros(0)):
+        assert UnitaryNet(2, 0.5, empty, 1).centers.shape == (0, 2, 2)
+    # numpy would read these strings as the identity's entries.
+    with pytest.raises(ValueError, match="must be numbers"):
+        UnitaryNet(2, 0.5, [[["1", "0"], ["0", "1"]]], 1)
+
+
 @pytest.mark.parametrize("radius", [float("nan"), float("inf"), float("-inf")])
 def test_unitary_net_rejects_nonfinite_radius(radius):
     with pytest.raises(ValueError, match="radius must be positive and finite"):
