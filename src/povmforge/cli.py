@@ -2,8 +2,10 @@
 
 Every command is deterministic given its seed and parameters, echoes both
 into the output header, and encodes acceptance in its exit status (0 only
-when all row-level assertions hold). CSV uses ',' separators, '.' decimals
-and '#' comment lines; JSON outputs carry the same metadata under "_meta".
+when all row-level assertions hold). CSV goes through `_emit_csv`, with ','
+separators, '.' decimals and '#' audit lines; JSON goes through `_emit_json`,
+whose "_meta" holds the version, command, seed and the command's own
+parameters, but no tol or eps.
 """
 
 import json
@@ -45,22 +47,28 @@ def _fmt(x):
     return str(x)
 
 
-def _header(command, seed, tol, **params):
-    extras = " ".join(f"{k}={_fmt(v)}" for k, v in params.items())
-    line = f"# seed={seed} tol={_fmt(tol)}"
-    if extras:
-        line += " " + extras
-    return [f"# povmforge {__version__} {command}", line]
-
-
-def _emit_text(lines, out):
-    text = "\n".join(lines) + "\n"
+def _write(text, out):
     if out:
         with open(out, "w") as fh:
             fh.write(text)
         click.echo(f"wrote {out}")
     else:
         click.echo(text, nl=False)
+
+
+def _emit_csv(command, seed, tol, params, columns, rows, out):
+    """Write the two '#' audit lines, the column line and one line per row."""
+    extras = "".join(f" {k}={_fmt(v)}" for k, v in params.items())
+    lines = [f"# povmforge {__version__} {command}",
+             f"# seed={seed} tol={_fmt(tol)}{extras}", ",".join(columns)]
+    lines += (",".join(_fmt(v) for v in row) for row in rows)
+    _write("\n".join(lines) + "\n", out)
+
+
+def _emit_json(meta, body, out):
+    """Write `body` with the package version and `meta` under "_meta"."""
+    _write(json.dumps({"_meta": {"version": __version__, **meta}, **body},
+                      indent=1) + "\n", out)
 
 
 class _FiniteRange(click.FloatRange):
@@ -115,24 +123,20 @@ def _law_scan(command, size_name, sizes, draw, cost, n_targets, tol, seed, out,
     target from Rng(seed).child(size); `cost(size, eps)` gives the command's
     ancilla dimension d and d recomputed from eps.
     """
-    lines = _header(command, seed, tol, **params, targets=n_targets)
-    lines.append(f"{size_name},d,epsilon_measured,epsilon_theory,max_abs_err")
-    failed = False
+    rows = []
     for size in sizes:
         theory = 2.0 / (size + 1)
-        d, d_from_theory = cost(size, theory)
         child = Rng(seed).child(size)
         targets = [draw(child) for _ in range(n_targets)]
         report = estimate_accuracy(covariant_qubit_detector(size / 2), targets,
                                    matched_covariant_rule(size / 2))
         err = max(abs(r.delta - theory) for r in report.per_target)
-        if err > tol or abs(d - d_from_theory) > 1e-12 * d:
-            failed = True
-        lines.append(
-            ",".join(_fmt(v) for v in (size, d, report.epsilon, theory, err))
-        )
-    _emit_text(lines, out)
-    if failed:
+        rows.append((size, cost(size, theory)[0], report.epsilon, theory, err))
+    _emit_csv(command, seed, tol, {**params, "targets": n_targets},
+              (size_name, "d", "epsilon_measured", "epsilon_theory", "max_abs_err"),
+              rows, out)
+    if any(err > tol or abs(d - cost(size, theory)[1]) > 1e-12 * d
+           for size, d, _, theory, err in rows):
         raise SystemExit(1)
 
 
@@ -144,7 +148,8 @@ targets_option = click.option(
 
 @main.command("fiurasek-scan")
 @click.option("--n-min", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--n-max", type=int, default=6, show_default=True)
+@click.option("--n-max", type=click.IntRange(1, SCAN_COPY_CAP), default=6,
+              show_default=True)
 @targets_option
 @click.option("--tol", type=_FiniteRange(min=0), default=1e-9, show_default=True)
 @seed_option
@@ -160,10 +165,6 @@ def cmd_fiurasek_scan(n_min, n_max, n_targets, tol, seed, out):
     """
     if n_max < n_min:
         raise click.UsageError(f"empty range: --n-max {n_max} < --n-min {n_min}")
-    if n_max > SCAN_COPY_CAP:
-        raise click.UsageError(
-            f"--n-max {n_max} exceeds the copy cap {SCAN_COPY_CAP}"
-        )
     _law_scan("fiurasek-scan", "N", range(n_min, n_max + 1),
               lambda rng: observable_from_unitary(haar_unitary(2, rng)),
               lambda n, eps: (2 ** n, 0.5 * 4.0 ** (1.0 / eps)),
@@ -232,36 +233,20 @@ def cmd_net_scan(n, eps_list, budget, samples, exp_min, exp_max, min_coverage,
         raise click.UsageError(f"--out {out} is also the JSON summary's path")
     rng = Rng(seed)
     result = scaling_scan(n, list(eps_list), budget, rng, samples=samples)
-    lines = _header(
-        "net-scan", seed, 0.0, dim=n, budget=budget, samples=samples,
-        eps=":".join(_fmt(e) for e in eps_list),
-    )
-    lines.append("epsilon,radius,net_size,coverage_rate,seed")
-    failed = False
-    for row in result.rows:
-        if row.coverage_rate < min_coverage:
-            failed = True
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (row.epsilon, row.radius, row.net_size,
-                          row.coverage_rate, row.seed)
-            )
-        )
-    if not (exp_min <= result.exponent <= exp_max):
-        failed = True
-    _emit_text(lines, out)
-    payload = {
-        "_meta": {"version": __version__, "command": "net-scan", "seed": seed,
-                  "dim": n, "budget": budget, "samples": samples},
-        "exponent": result.exponent,
-        "kappa_fit": result.kappa,
-        "exponent_band": [exp_min, exp_max],
-        "min_coverage": min_coverage,
-        "pass": not failed,
-    }
-    _emit_text([json.dumps(payload, indent=1)], summary_out)
-    if failed:
+    params = {"dim": n, "budget": budget, "samples": samples}
+    rows = [(r.epsilon, r.radius, r.net_size, r.coverage_rate, r.seed)
+            for r in result.rows]
+    _emit_csv("net-scan", seed, 0.0,
+              {**params, "eps": ":".join(_fmt(e) for e in eps_list)},
+              ("epsilon", "radius", "net_size", "coverage_rate", "seed"), rows, out)
+    passed = (exp_min <= result.exponent <= exp_max
+              and not any(rate < min_coverage for _, _, _, rate, _ in rows))
+    _emit_json({"command": "net-scan", "seed": seed, **params},
+               {"exponent": result.exponent, "kappa_fit": result.kappa,
+                "exponent_band": [exp_min, exp_max],
+                "min_coverage": min_coverage, "pass": passed},
+               summary_out)
+    if not passed:
         raise SystemExit(1)
 
 
@@ -281,32 +266,20 @@ def cmd_exact_check(pairs, tol, negative_control, seed, out):
     [0, √2] with mean ≈ 0.71; they do not affect the exit status.
     """
     rng = Rng(seed)
-    lines = _header("exact-check", seed, tol, pairs=pairs,
-                    negative_control=int(negative_control))
-    lines.append("nu_id,alpha,beta,gamma,residual,control")
-    failed = False
-
-    def add_row(nu_id, g, residual, control):
-        nonlocal failed
-        a, b, c = g.euler_angles
-        if not control and residual > tol:
-            failed = True
-        lines.append(
-            ",".join(_fmt(v) for v in (nu_id, a, b, c, residual, int(control)))
-        )
-
-    g0 = GroupElement.random(rng)
-    seed0 = CovariantSeed(maximally_mixed(2))
-    add_row(0, g0, bell_program_check(seed0, g0), False)
+    g = GroupElement.random(rng)
+    rows = [(0, *g.euler_angles,
+             bell_program_check(CovariantSeed(maximally_mixed(2)), g), 0)]
     for i in range(1, pairs + 1):
-        nu = pure_state(haar_unitary(2, rng)[:, 0])
+        cseed = CovariantSeed(pure_state(haar_unitary(2, rng)[:, 0]))
         g = GroupElement.random(rng)
-        cseed = CovariantSeed(nu)
-        add_row(i, g, bell_program_check(cseed, g), False)
+        rows.append((i, *g.euler_angles, bell_program_check(cseed, g), 0))
         if negative_control:
-            add_row(i, g, bell_program_check(cseed, g, use_transpose=False), True)
-    _emit_text(lines, out)
-    if failed:
+            rows.append((i, *g.euler_angles,
+                         bell_program_check(cseed, g, use_transpose=False), 1))
+    _emit_csv("exact-check", seed, tol,
+              {"pairs": pairs, "negative_control": int(negative_control)},
+              ("nu_id", "alpha", "beta", "gamma", "residual", "control"), rows, out)
+    if any(residual > tol for *_, residual, control in rows if not control):
         raise SystemExit(1)
 
 
@@ -330,16 +303,12 @@ def cmd_distance(povm_a, povm_b, seed, out):
         raise click.UsageError(str(exc)) from exc
     delta, witness = povm_distance(p, q, return_witness=True)
     sum_op, sum_fro = distance_bounds(p, q)
-    payload = {
-        "_meta": {"version": __version__, "command": "distance", "seed": seed,
-                  "povm_a": os.path.basename(povm_a),
-                  "povm_b": os.path.basename(povm_b)},
-        "delta": delta,
-        "sum_op_bound": sum_op,
-        "sum_fro_bound": sum_fro,
-        "witness_state": matrix_to_json(witness.matrix),
-    }
-    _emit_text([json.dumps(payload, indent=1)], out)
+    _emit_json({"command": "distance", "seed": seed,
+                "povm_a": os.path.basename(povm_a),
+                "povm_b": os.path.basename(povm_b)},
+               {"delta": delta, "sum_op_bound": sum_op, "sum_fro_bound": sum_fro,
+                "witness_state": matrix_to_json(witness.matrix)},
+               out)
 
 
 if __name__ == "__main__":

@@ -3,9 +3,10 @@
 A detector is a joint POVM F on system ⊗ ancilla. Feeding it an ancilla
 state σ realizes the system POVM with effects Tr_A[(I ⊗ σ) F_i]. Which
 POVMs are reachable, and how close they come to a target, is the whole
-game; the helpers here hold the controlled-unitary family as its branch
-unitaries, its dense joint built only when read, and score accuracy
-against target lists.
+game; the helpers here hold two families by their factors, the isometry
+detectors {VVᵀ, I − VVᵀ} (`IsometryDetector`) and the controlled-unitary
+detectors as their branch unitaries, each with its dense joint built only
+when read, and score accuracy against target lists.
 """
 
 from dataclasses import dataclass
@@ -33,6 +34,8 @@ class Detector:
     """
 
     def __init__(self, sys_dim, anc_dim, joint):
+        if not isinstance(joint, Povm):
+            raise ValueError(f"joint must be a Povm, got {type(joint).__name__}")
         self._set_shape(sys_dim, anc_dim, joint.dim, len(joint))
         self.joint = joint
 

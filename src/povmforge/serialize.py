@@ -41,6 +41,9 @@ def matrix_from_json(obj):
     with _malformed("matrix"):
         rows, cols = as_int(obj["rows"], "rows"), as_int(obj["cols"], "cols")
         re, im = as_array(obj["re"], 1), as_array(obj["im"], 1)
+        # JSON true is no number, though numpy reads it as 1.
+        if any(isinstance(x, bool) for x in (*obj["re"], *obj["im"])):
+            raise ValueError("entries must be numbers, got true or false")
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive")
     if re.shape != (rows * cols,) or im.shape != (rows * cols,):

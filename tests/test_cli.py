@@ -170,6 +170,29 @@ def test_exact_check_negative_control_rows(runner):
 
 
 @pytest.mark.parametrize(
+    "args", [["exact-check", "--pairs", "3"], ["covariant-scan", "--j-max", "3"]]
+)
+def test_zero_tolerance_exits_1_after_writing_every_row(runner, args):
+    # The residuals and accuracy errors are about 1e-16, never exactly zero.
+    result = runner.invoke(main, [*args, "--tol", "0"])
+    assert result.exit_code == 1, result.output
+    lines = result.output.splitlines()
+    assert lines[0].startswith("# povmforge") and "tol=0" in lines[1]
+    assert len(lines) == 3 + (4 if args[0] == "exact-check" else 3)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--version"], *([cmd, "--help"] for cmd in main.commands)], ids=" ".join
+)
+def test_help_and_version_exit_0(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    if args[0] == "fiurasek-scan":
+        assert "1<=x<=200" in result.output
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ["exact-check", "--pairs", "-1"],

@@ -82,6 +82,12 @@ def test_detector_refuses_non_integer_dimensions(sys_dim, anc_dim):
         Detector(sys_dim, anc_dim, observable_from_unitary(np.eye(2)))
 
 
+@pytest.mark.parametrize("joint", [np.eye(2)[None], None, [np.eye(2)]])
+def test_detector_refuses_a_joint_that_is_not_a_povm(joint):
+    with pytest.raises(ValueError, match=f"joint must be a Povm, got {type(joint).__name__}"):
+        Detector(2, 1, joint)
+
+
 def test_program_ignores_decoupled_ancilla():
     sys_povm = observable_from_unitary(haar_unitary(2, Rng(1)))
     joint = Povm([tensor(e, np.eye(3)) for e in sys_povm.effects])

@@ -43,9 +43,13 @@ def test_matrix_rejects_malformed():
 
 
 def test_matrix_entries_that_are_not_numbers_are_malformed():
-    for re in (["0.5", 0.0, 0.0, 0.5], [10**400, 0, 0, 0], [None] * 4, [{}] * 4):
+    # JSON true and false are no numbers either, though numpy reads them as 1 and 0.
+    for re in (["0.5", 0.0, 0.0, 0.5], [10**400, 0, 0, 0], [None] * 4, [{}] * 4,
+               [True, False, False, True], [True, 0.0, 0.0, 0.5]):
         with pytest.raises(ValueError, match="malformed matrix JSON"):
             matrix_from_json({"rows": 2, "cols": 2, "re": re, "im": [0.0] * 4})
+    with pytest.raises(ValueError, match="malformed matrix JSON"):
+        matrix_from_json({"rows": 2, "cols": 2, "re": [0.5, 0.0, 0.0, 0.5], "im": [False] * 4})
     # The complex read keeps every bit of the float one, signed zeros too.
     re, im = [-0.0, 2.5, 1e-300, 0.0], [1.0, -0.0, 0.0, -7.0]
     want = (np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)).reshape(2, 2)
