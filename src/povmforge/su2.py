@@ -223,12 +223,17 @@ def coupling_isometry(j1, j2):
     M descending inside each block; columns are the product basis with m1
     major, m2 minor, both descending. Entries are Clebsch-Gordan
     coefficients, so unitarity is their orthogonality. The general coupling,
-    and for 1/2 x j the test oracle of `covariant_qubit_detector`.
+    and for 1/2 x j the test oracle of `covariant_qubit_detector`. Refused
+    with CapacityError past a product dimension of 2^SYMMETRIC_QUBIT_CAP.
     """
     j1 = AngularMomentum.coerce(j1)
     j2 = AngularMomentum.coerce(j2)
     tj1, tj2 = j1.twice_j, j2.twice_j
     size = j1.dim * j2.dim
+    if size > 2 ** SYMMETRIC_QUBIT_CAP:
+        raise CapacityError(
+            f"product dimension {size} exceeds the joint-space cap ({2 ** SYMMETRIC_QUBIT_CAP})"
+        )
     u = np.zeros((size, size))
     row = 0
     for tJ in range(tj1 + tj2, abs(tj1 - tj2) - 1, -2):

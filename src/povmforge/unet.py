@@ -213,8 +213,7 @@ class UnitaryNet:
     """Packing of unitaries at pairwise quotient distance above `radius`.
 
     The constructor alone checks the fields and stores each as a plain
-    Python value, so every net that constructs can be written to JSON and
-    read back. `dim`, `radius` and `seed` follow :func:`build_net` and `Rng`;
+    Python value. `dim`, `radius` and `seed` follow :func:`build_net` and `Rng`;
     `candidates_tested`, the Haar draws consumed during construction, is an
     int ≥ 0; `centers` is a (k, n, n) unitary stack read by `linalg.as_array`, k = 0 if empty.
     """

@@ -433,6 +433,15 @@ def test_irrep_matrix_shares_the_detector_cap():
             irrep_matrix(j, g)
 
 
+@pytest.mark.parametrize("j1,j2", [(0.5, 2048), (32, 32), (0.5, 10**6)])
+def test_coupling_isometry_past_the_joint_space_cap_is_refused(j1, j2):
+    # Past 2^SYMMETRIC_QUBIT_CAP product dimensions the dense coupling is refused
+    # before any allocation: 0.5 x 3000 would hold 12 002² doubles.
+    assert (2 * j1 + 1) * (2 * j2 + 1) > 2 ** SYMMETRIC_QUBIT_CAP
+    with pytest.raises(CapacityError, match="cap"):
+        coupling_isometry(j1, j2)
+
+
 def test_matched_covariant_programs_share_the_detector_cap():
     # The matched programs feed only the covariant detector, so they stop at
     # its cap rather than allocate (2j+1)-entry arrays it cannot use.

@@ -297,6 +297,9 @@ def test_unitary_net_validates_centers():
         UnitaryNet(dim=2, radius=0.5, centers=np.zeros((1, 2, 2)), seed=0)
     with pytest.raises(ValueError):
         UnitaryNet(dim=2, radius=0.5, centers=np.eye(2), seed=0)
+    # Centres of two sizes make no stack.
+    with pytest.raises(ValueError):
+        UnitaryNet(dim=2, radius=0.5, centers=[np.eye(2), np.eye(3)], seed=0)
 
 
 def test_unitary_net_reads_centres_as_a_stack_of_numbers():
@@ -338,7 +341,8 @@ def test_unitary_net_rejects_nonpositive_radius(radius):
     "radius-1e400", "tested-negative", "tested-1.5",
 ])
 def test_unitary_net_refuses_what_json_could_not_hold(field, value, match):
-    # Each of these constructed before, and then failed to be written or read.
+    # The seed is an integer in [0, 2^64), the radius a finite positive real and
+    # candidates_tested an integer >= 0; a bool or a string is none of these.
     fields = dict(dim=2, radius=0.5, centers=np.eye(2)[None], seed=0)
     with pytest.raises(ValueError, match=match):
         UnitaryNet(**{**fields, field: value})
