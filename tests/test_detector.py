@@ -82,7 +82,7 @@ def test_detector_refuses_non_integer_dimensions(sys_dim, anc_dim):
         Detector(sys_dim, anc_dim, observable_from_unitary(np.eye(2)))
 
 
-@pytest.mark.parametrize("joint", [np.eye(2)[None], None, [np.eye(2)]])
+@pytest.mark.parametrize("joint", [np.eye(2)[None], None, [np.eye(2)], 5])
 def test_detector_refuses_a_joint_that_is_not_a_povm(joint):
     with pytest.raises(ValueError, match=f"joint must be a Povm, got {type(joint).__name__}"):
         Detector(2, 1, joint)

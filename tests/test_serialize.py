@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from povmforge.linalg import Rng, haar_unitary
-from povmforge.povm import observable_from_unitary
+from povmforge.povm import Povm, observable_from_unitary
 from povmforge.serialize import (
     load_json,
     matrix_from_json,
@@ -107,3 +107,61 @@ def test_file_round_trip(tmp_path):
     back = povm_from_json(load_json(path))
     for got, want in zip(back.effects, p.effects):
         assert np.abs(got - want).max() <= 1e-15
+
+
+def random_povm(dim, outcomes, rng):
+    g = rng.generator
+    parts = [a.conj().T @ a for a in g.standard_normal((outcomes, dim, dim))
+             + 1j * g.standard_normal((outcomes, dim, dim))]
+    vals, vecs = np.linalg.eigh(sum(parts))
+    inv_sqrt = vecs @ np.diag(vals ** -0.5) @ vecs.conj().T
+    return Povm([inv_sqrt @ p @ inv_sqrt for p in parts])
+
+
+@pytest.mark.parametrize("dim,outcomes", [(1, 1), (2, 2), (3, 5), (4, 20)])
+def test_povm_file_round_trip_keeps_every_bit(dim, outcomes, tmp_path):
+    # json writes each double as its shortest repr, which reads back to the
+    # same double, so distance sees exactly the POVM that was saved.
+    p = random_povm(dim, outcomes, Rng(10 * dim + outcomes))
+    path = tmp_path / "povm.json"
+    save_json(povm_to_json(p), path)
+    back = povm_from_json(load_json(path))
+    assert (back.dim, len(back)) == (dim, outcomes)
+    assert back.effects.tobytes() == p.effects.tobytes()
+
+
+I2 = matrix_to_json(np.eye(2) / 2)
+
+
+@pytest.mark.parametrize("obj", [
+    pytest.param([], id="not-an-object"),
+    pytest.param({"effects": [I2, I2]}, id="no-dim"),
+    pytest.param({"dim": 2}, id="no-effects"),
+    pytest.param({"dim": 2, "effects": {"0": I2, "1": I2}}, id="effects-object"),
+    pytest.param({"dim": 2, "effects": "I"}, id="effects-string"),
+    pytest.param({"dim": 2, "effects": None}, id="effects-null"),
+    pytest.param({"dim": 2, "effects": []}, id="effects-empty"),
+    pytest.param({"dim": 2, "effects": [I2, matrix_to_json(np.eye(3) / 2)]}, id="two-sizes"),
+    pytest.param({"dim": 2, "effects": [matrix_to_json(np.ones((2, 3)))]}, id="non-square"),
+    pytest.param({"dim": 2, "effects": [I2, 5]}, id="effect-not-an-object"),
+])
+def test_povm_reader_refuses_malformed_files(obj):
+    with pytest.raises(ValueError, match="malformed POVM JSON"):
+        povm_from_json(obj)
+
+
+@pytest.mark.parametrize("obj,match", [
+    pytest.param(None, "malformed matrix JSON", id="null"),
+    pytest.param({"rows": None, "cols": 1, "re": [1.0], "im": [0.0]},
+                 "rows must be an integer", id="rows-null"),
+    pytest.param({"rows": 1, "cols": 1, "re": [1.0]}, "malformed matrix JSON", id="no-im"),
+    pytest.param({"rows": 1, "cols": 1, "re": 1.0, "im": [0.0]},
+                 "malformed matrix JSON", id="re-scalar"),
+    pytest.param({"rows": 2, "cols": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [0.0] * 4},
+                 "expected a vector", id="re-nested"),
+    pytest.param({"rows": -1, "cols": -1, "re": [1.0], "im": [0.0]},
+                 "dimensions must be positive", id="rows-negative"),
+])
+def test_matrix_reader_refuses_malformed_files(obj, match):
+    with pytest.raises(ValueError, match=match):
+        matrix_from_json(obj)

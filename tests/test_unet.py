@@ -282,6 +282,7 @@ def test_build_net_rejects_nonfinite_radius_before_drawing(radius):
     "dim,match",
     [
         (2.0, "dimension must be an integer"),
+        (2.5, "dimension must be an integer"),
         (float("nan"), "dimension must be an integer"),
         (0, "dimension must be positive"),
         (-1, "dimension must be positive"),
@@ -329,6 +330,7 @@ def test_unitary_net_rejects_nonpositive_radius(radius):
 @pytest.mark.parametrize("field,value,match", [
     ("seed", True, "seed must be an integer"),
     ("seed", 2.5, "seed must be an integer"),
+    ("seed", 1.0, "seed must be an integer"),
     ("seed", -1, "64 unsigned bits"),
     ("seed", 2 ** 64, "64 unsigned bits"),
     ("radius", True, "radius must be positive and finite"),
@@ -336,9 +338,10 @@ def test_unitary_net_rejects_nonpositive_radius(radius):
     ("radius", 10 ** 400, "radius must be positive and finite"),
     ("candidates_tested", -3, "candidates_tested must be nonnegative"),
     ("candidates_tested", 1.5, "candidates_tested must be an integer"),
+    ("candidates_tested", True, "candidates_tested must be an integer"),
 ], ids=[
-    "seed-bool", "seed-2.5", "seed-negative", "seed-2**64", "radius-bool", "radius-string",
-    "radius-1e400", "tested-negative", "tested-1.5",
+    "seed-bool", "seed-2.5", "seed-1.0", "seed-negative", "seed-2**64", "radius-bool",
+    "radius-string", "radius-1e400", "tested-negative", "tested-1.5", "tested-bool",
 ])
 def test_unitary_net_refuses_what_json_could_not_hold(field, value, match):
     # The seed is an integer in [0, 2^64), the radius a finite positive real and
